@@ -69,13 +69,6 @@ inline void benchPrint(const std::string &Text) {
 ///                main-loop ordering for the generated kernels the bench
 ///                measures: the fixed drip interleave (default) or the
 ///                kernelgen list scheduler
-///   --retries N  re-run a sweep point up to N extra times after a
-///                transient failure or timeout (default 0; deterministic
-///                failures are quarantined immediately, never retried)
-///   --point-timeout CYCLES
-///                per-sweep-point simulated-cycle deadline; a point that
-///                exceeds it is retried with the deadline doubled
-///                (0 = no deadline, the default)
 ///   --checkpoint PATH
 ///                journal completed sweep points to PATH as they finish;
 ///                adds a "sweeps" object to the --json record
@@ -128,22 +121,6 @@ public:
         }
         Schedule =
             *Choice == 0 ? SgemmSchedule::Drip : SgemmSchedule::List;
-      } else if (Arg == "--retries") {
-        auto N = parseInteger(needValue(), 0, 100);
-        if (!N) {
-          std::fprintf(stderr, "%s: --retries: %s\n", Name.c_str(),
-                       N.message().c_str());
-          std::exit(2);
-        }
-        Retries = static_cast<int>(*N);
-      } else if (Arg == "--point-timeout") {
-        auto N = parseInteger(needValue(), 0, INT64_MAX);
-        if (!N) {
-          std::fprintf(stderr, "%s: --point-timeout: %s\n", Name.c_str(),
-                       N.message().c_str());
-          std::exit(2);
-        }
-        PointTimeout = static_cast<uint64_t>(*N);
       } else if (Arg == "--checkpoint")
         CheckpointPath = needValue();
       else if (Arg == "--resume")
@@ -154,9 +131,8 @@ public:
         std::fprintf(stderr,
                      "%s: unknown option '%s'\n"
                      "usage: %s [--jobs N] [--json PATH] [--cache PATH] "
-                     "[--no-cache] [--schedule drip|list] [--retries N] "
-                     "[--point-timeout CYCLES] [--checkpoint PATH] "
-                     "[--resume] [--probe FILE]\n",
+                     "[--no-cache] [--schedule drip|list] "
+                     "[--checkpoint PATH] [--resume] [--probe FILE]\n",
                      Name.c_str(), Arg.c_str(), Name.c_str());
         std::exit(2);
       }
@@ -282,8 +258,10 @@ public:
           W.beginObject();
           W.kv("sweep", R.Name);
           W.kv("point", static_cast<uint64_t>(F.Point));
-          W.kv("result", taskOutcomeName(F.Result));
-          W.kv("attempts", F.Attempts);
+          // Every point runs once and a failure is final, so "result"
+          // and "attempts" are constants, kept for the record's shape.
+          W.kv("result", "quarantined");
+          W.kv("attempts", 1);
           W.kv("reason", F.Reason);
           W.endObject();
         }
@@ -321,13 +299,11 @@ public:
   /// Bench name (for diagnostics).
   const std::string &name() const { return Name; }
 
-  /// Execution knobs for runSupervisedSweep, assembled from --jobs,
-  /// --retries, --point-timeout, and --checkpoint/--resume.
+  /// Execution knobs for runSupervisedSweep, assembled from --jobs and
+  /// --checkpoint/--resume.
   SweepOptions sweepOptions() {
     SweepOptions O;
     O.Jobs = Jobs;
-    O.Policy.MaxAttempts = Retries + 1;
-    O.Policy.DeadlineCycles = PointTimeout;
     O.Checkpoint = Checkpoint.get();
     return O;
   }
@@ -346,11 +322,8 @@ public:
                            "checkpoint\n",
                    Name.c_str(), R.Name.c_str(), R.Resumed, R.Points);
     for (const SweepPointFailure &F : R.Incomplete)
-      std::fprintf(stderr,
-                   "%s: sweep %s: point %zu %s after %d attempt%s: %s\n",
-                   Name.c_str(), R.Name.c_str(), F.Point,
-                   taskOutcomeName(F.Result), F.Attempts,
-                   F.Attempts == 1 ? "" : "s", F.Reason.c_str());
+      std::fprintf(stderr, "%s: sweep %s: point %zu failed: %s\n",
+                   Name.c_str(), R.Name.c_str(), F.Point, F.Reason.c_str());
     if (R.CheckpointErrors > 0)
       std::fprintf(stderr,
                    "%s: sweep %s: %zu checkpoint append failure%s "
@@ -369,8 +342,6 @@ private:
   std::string ProbePath;
   ProbeEngine Probes;
   int Jobs = 0; ///< 0 = one worker per hardware thread.
-  int Retries = 0;
-  uint64_t PointTimeout = 0;
   bool Resume = false;
   SgemmSchedule Schedule = SgemmSchedule::Drip;
   std::unique_ptr<SweepCheckpoint> Checkpoint;
@@ -422,15 +393,14 @@ auto runSweep(int Jobs, size_t N, Fn &&Point)
   return Results;
 }
 
-/// The supervised counterpart: evaluates \p Point under \p Run's
-/// --retries/--point-timeout policy with --checkpoint/--resume support,
-/// and records the sweep report for the --json record. Returns per-point
-/// rows; nullopt marks a point the supervisor could not complete (listed
-/// in "incomplete" and on stderr -- render only the completed rows, so
-/// stdout is unchanged whenever nothing fails). \p Name must be unique
-/// within the bench (one entry per machine, e.g. "fig4_gtx580"): it keys
-/// both the checkpoint records and the JSON summary. With every point
-/// healthy and no checkpoint, output is bit-identical to runSweep.
+/// The checkpointed counterpart: evaluates each \p Point once with
+/// --checkpoint/--resume support, and records the sweep report for the
+/// --json record. Returns per-point rows; nullopt marks a failed point
+/// (listed in "incomplete" and on stderr -- render only the completed
+/// rows, so stdout is unchanged whenever nothing fails). \p Name must be
+/// unique within the bench (one entry per machine, e.g. "fig4_gtx580"):
+/// it keys both the checkpoint records and the JSON summary. With every
+/// point healthy and no checkpoint, output is bit-identical to runSweep.
 inline std::vector<std::optional<std::vector<std::string>>>
 runSweepSupervised(BenchRun &Run, const std::string &Name, size_t N,
                    const SweepPointFn &Point) {

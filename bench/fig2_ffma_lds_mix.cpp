@@ -24,7 +24,7 @@ static void sweep(BenchRun &Run, const MachineDesc &M) {
   // thread. Rows come back in ratio order whatever the job count.
   auto Rows = runSweepSupervised(
       Run, formatString("fig2_%s", M.Name.c_str()), Ratios.size(),
-      [&](size_t I, const Supervisor::Attempt &) {
+      [&](size_t I, const std::string &) {
         std::vector<std::string> Row = {formatString("%d", Ratios[I])};
         for (MemWidth W :
              {MemWidth::B32, MemWidth::B64, MemWidth::B128}) {

@@ -20,7 +20,7 @@ static void sweep(BenchRun &Run, const MachineDesc &M,
   PerfDatabase DB = Run.makeDatabase(M);
   auto Rows = runSweepSupervised(
       Run, formatString("fig4_%s", M.Name.c_str()), Threads.size(),
-      [&](size_t I, const Supervisor::Attempt &) {
+      [&](size_t I, const std::string &) {
         int N = Threads[I];
         return SweepPointAttempt::ok(
             {formatString("%d", N),

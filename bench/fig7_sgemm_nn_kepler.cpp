@@ -21,7 +21,7 @@ int main(int Argc, char **Argv) {
                                   2880, 3360, 3840, 4320, 4800};
   auto Rows = runSweepSupervised(
       Run, "fig7", Sizes.size(),
-      [&](size_t I, const Supervisor::Attempt &) {
+      [&](size_t I, const std::string &) {
         SgemmProblem P;
         P.M = P.N = P.K = Sizes[I];
         SgemmRunOptions O;
@@ -31,8 +31,6 @@ int main(int Argc, char **Argv) {
                                SgemmImpl::CublasLike,
                                SgemmImpl::MagmaLike}) {
           auto R = runSgemm(M, Impl, P, O);
-          // A failed run is deterministic (the simulator is), so let
-          // the supervisor quarantine the point rather than retry it.
           if (!R)
             return SweepPointAttempt::fatal(R.message());
           Row.push_back(formatDouble(R->Gflops, 0));

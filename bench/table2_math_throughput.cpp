@@ -29,7 +29,7 @@ int main(int Argc, char **Argv) {
   const std::vector<Table2Row> Patterns = table2Patterns();
   auto Rows = runSweepSupervised(
       Run, "table2", Patterns.size(),
-      [&](size_t I, const Supervisor::Attempt &) {
+      [&](size_t I, const std::string &) {
         const Table2Row &Row = Patterns[I];
         Kernel K = generateOpPatternBench(M, Row.Pattern);
         double Measured = DB.measureKernel(K, Cfg);

@@ -8,6 +8,7 @@
 
 #include "isa/Encoding.h"
 #include "support/Format.h"
+#include "support/LittleEndian.h"
 
 #include <cstring>
 #include <fstream>
@@ -52,71 +53,6 @@ Kernel *Module::findKernel(const std::string &Name) {
       return &K;
   return nullptr;
 }
-
-namespace {
-
-/// Little-endian byte writer.
-class ByteWriter {
-public:
-  explicit ByteWriter(std::vector<uint8_t> &Out) : Out(Out) {}
-
-  void writeU32(uint32_t V) {
-    for (int I = 0; I < 4; ++I)
-      Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-  }
-  void writeU64(uint64_t V) {
-    for (int I = 0; I < 8; ++I)
-      Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
-  }
-  void writeString(const std::string &S) {
-    writeU32(static_cast<uint32_t>(S.size()));
-    Out.insert(Out.end(), S.begin(), S.end());
-  }
-
-private:
-  std::vector<uint8_t> &Out;
-};
-
-/// Little-endian byte reader with bounds checking.
-class ByteReader {
-public:
-  explicit ByteReader(const std::vector<uint8_t> &In) : In(In) {}
-
-  bool readU32(uint32_t &V) {
-    if (Pos + 4 > In.size())
-      return false;
-    V = 0;
-    for (int I = 0; I < 4; ++I)
-      V |= static_cast<uint32_t>(In[Pos + I]) << (8 * I);
-    Pos += 4;
-    return true;
-  }
-  bool readU64(uint64_t &V) {
-    if (Pos + 8 > In.size())
-      return false;
-    V = 0;
-    for (int I = 0; I < 8; ++I)
-      V |= static_cast<uint64_t>(In[Pos + I]) << (8 * I);
-    Pos += 8;
-    return true;
-  }
-  bool readString(std::string &S) {
-    uint32_t Len = 0;
-    if (!readU32(Len) || Pos + Len > In.size())
-      return false;
-    S.assign(In.begin() + Pos, In.begin() + Pos + Len);
-    Pos += Len;
-    return true;
-  }
-  bool atEnd() const { return Pos == In.size(); }
-  size_t remaining() const { return In.size() - Pos; }
-
-private:
-  const std::vector<uint8_t> &In;
-  size_t Pos = 0;
-};
-
-} // namespace
 
 std::vector<uint8_t> Module::serialize() const {
   std::vector<uint8_t> Out;

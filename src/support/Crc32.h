@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) used to frame
-/// records in the append-only durability journals (PerfDatabase journal,
-/// sweep checkpoints). A CRC over each record's payload lets recovery
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) used by
+/// support/FrameLog to frame records in the append-only durability
+/// journals (PerfDatabase journal, sweep checkpoints). A CRC over each
+/// record's payload lets recovery
 /// distinguish "file ends in a torn write" from "file ends cleanly" and
 /// truncate at the first corrupt frame instead of rejecting everything.
 ///

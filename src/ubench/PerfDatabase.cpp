@@ -6,20 +6,16 @@
 
 #include "ubench/PerfDatabase.h"
 
-#include "support/Crc32.h"
 #include "support/FileIO.h"
+#include "support/FrameLog.h"
 #include "support/Format.h"
+#include "support/LittleEndian.h"
 
 #include <algorithm>
 #include <cassert>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 using namespace gpuperf;
 
@@ -34,7 +30,7 @@ constexpr uint32_t CacheMagic = 0x42445047; // "GPDB"
 constexpr uint32_t CacheVersion = 1;
 
 /// Journal-file layout (the append-only write-ahead log that sits next
-/// to the snapshot as <snapshot>.journal):
+/// to the snapshot as <snapshot>.journal), a support/FrameLog:
 ///   "GPDJ" | u32 version
 ///   then per frame: u32 payload length | u32 crc32(payload) | payload
 ///   payload: u32 key length | key bytes | u64 value bits (double)
@@ -44,10 +40,10 @@ constexpr uint32_t CacheVersion = 1;
 /// never the records before it.
 constexpr uint32_t JournalMagic = 0x4a445047; // "GPDJ"
 constexpr uint32_t JournalVersion = 1;
-constexpr size_t JournalHeaderBytes = 8;
 
 /// Sanity caps, same stance as Module::deserialize: any structurally
 /// impossible size means corruption, and we reject before allocating.
+/// A key over MaxKeyBytes is therefore never persisted.
 constexpr uint32_t MaxCacheEntries = 1u << 20;
 constexpr uint32_t MaxKeyBytes = 1u << 12;
 constexpr uint32_t MaxJournalPayload = 4 + MaxKeyBytes + 8;
@@ -62,51 +58,18 @@ size_t compactionThreshold() {
                                      : DefaultCompactionThreshold;
 }
 
-void appendU32(std::vector<uint8_t> &Out, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
+/// The entry encoding both files share: u32 key length | key | u64 bits.
+void writeEntry(ByteWriter &W, const std::string &Key, double Value) {
+  W.writeString(Key);
+  uint64_t Bits;
+  std::memcpy(&Bits, &Value, 8);
+  W.writeU64(Bits);
 }
 
-void appendU64(std::vector<uint8_t> &Out, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
+FrameLog journalAt(const std::string &CachePath) {
+  return FrameLog(PerfDatabase::journalPath(CachePath), JournalMagic,
+                  JournalVersion, MaxJournalPayload);
 }
-
-/// Bounds-checked little-endian cursor over the raw file bytes.
-class CacheReader {
-public:
-  explicit CacheReader(const std::vector<uint8_t> &Bytes) : Bytes(Bytes) {}
-
-  bool readU32(uint32_t &V) {
-    if (Pos + 4 > Bytes.size())
-      return false;
-    V = 0;
-    for (int I = 0; I < 4; ++I)
-      V |= static_cast<uint32_t>(Bytes[Pos++]) << (8 * I);
-    return true;
-  }
-  bool readU64(uint64_t &V) {
-    if (Pos + 8 > Bytes.size())
-      return false;
-    V = 0;
-    for (int I = 0; I < 8; ++I)
-      V |= static_cast<uint64_t>(Bytes[Pos++]) << (8 * I);
-    return true;
-  }
-  bool readBytes(std::string &S, uint32_t N) {
-    if (Pos + N > Bytes.size())
-      return false;
-    S.assign(reinterpret_cast<const char *>(Bytes.data() + Pos), N);
-    Pos += N;
-    return true;
-  }
-  bool atEnd() const { return Pos == Bytes.size(); }
-  size_t pos() const { return Pos; }
-
-private:
-  const std::vector<uint8_t> &Bytes;
-  size_t Pos = 0;
-};
 
 /// Parses a snapshot file into a key->value map. Every failure names
 /// the structural check that fired so a truncated or bit-flipped file
@@ -117,9 +80,8 @@ parseCacheFile(const std::string &Path) {
   auto File = readFileBytes(Path);
   if (!File)
     return Result::error("cannot open perf cache '" + Path + "'");
-  const std::vector<uint8_t> &Bytes = *File;
 
-  CacheReader R(Bytes);
+  ByteReader R(*File);
   uint32_t Magic = 0, Version = 0, Count = 0;
   if (!R.readU32(Magic) || Magic != CacheMagic)
     return Result::error("perf cache: bad magic (not a GPDB file)");
@@ -153,83 +115,40 @@ parseCacheFile(const std::string &Path) {
   return Entries;
 }
 
-/// Lenient journal replay result: everything that could be recovered
-/// plus where the valid prefix ends. Replay never fails wholesale --
-/// a corrupt header just means "no valid bytes".
-struct JournalReplay {
-  std::map<std::string, double> Entries;
-  size_t ValidBytes = 0; ///< Length of the intact prefix (0 when the
-                         ///< header itself is unusable).
-  size_t FileBytes = 0;  ///< Actual file size (0 when missing).
-};
-
-/// Decodes one frame's payload. Returns false on any structural
-/// violation (the frame is then treated as corrupt).
-bool decodeJournalPayload(const std::vector<uint8_t> &Payload,
-                          std::string &Key, double &Value) {
-  CacheReader R(Payload);
-  uint32_t KeyLen = 0;
+/// Decodes one journal frame's payload into \p Entries. Returns false on
+/// any structural violation (the frame is then treated as corrupt).
+bool decodeJournalPayload(const uint8_t *Data, size_t Size,
+                          std::map<std::string, double> &Entries) {
+  ByteReader R(Data, Size);
+  std::string Key;
   uint64_t Bits = 0;
-  if (!R.readU32(KeyLen) || KeyLen == 0 || KeyLen > MaxKeyBytes)
+  if (!R.readString(Key) || Key.empty() || Key.size() > MaxKeyBytes ||
+      !R.readU64(Bits) || !R.atEnd())
     return false;
-  if (!R.readBytes(Key, KeyLen) || !R.readU64(Bits) || !R.atEnd())
-    return false;
-  std::memcpy(&Value, &Bits, 8);
+  std::memcpy(&Entries[Key], &Bits, 8);
   return true;
 }
 
-/// Replays the journal at \p Path, stopping at the first corrupt or
-/// torn frame.
-JournalReplay replayJournalFile(const std::string &Path) {
-  JournalReplay Out;
-  auto File = readFileBytes(Path);
-  if (!File)
-    return Out; // Missing journal: normal cold state.
-  const std::vector<uint8_t> &Bytes = *File;
-  Out.FileBytes = Bytes.size();
-
-  CacheReader R(Bytes);
-  uint32_t Magic = 0, Version = 0;
-  if (!R.readU32(Magic) || Magic != JournalMagic || !R.readU32(Version) ||
-      Version != JournalVersion)
-    return Out; // Unusable header: recover nothing, truncate to zero.
-  Out.ValidBytes = JournalHeaderBytes;
-
-  for (;;) {
-    uint32_t Len = 0, Crc = 0;
-    if (!R.readU32(Len) || Len == 0 || Len > MaxJournalPayload)
-      return Out;
-    if (!R.readU32(Crc))
-      return Out;
-    std::string PayloadStr;
-    if (!R.readBytes(PayloadStr, Len))
-      return Out;
-    if (crc32(PayloadStr.data(), PayloadStr.size()) != Crc)
-      return Out;
-    std::vector<uint8_t> Payload(PayloadStr.begin(), PayloadStr.end());
-    std::string Key;
-    double Value = 0;
-    if (!decodeJournalPayload(Payload, Key, Value))
-      return Out;
-    Out.Entries[Key] = Value;
-    Out.ValidBytes = R.pos();
-  }
+/// Every entry the journal next to \p CachePath holds, up to its first
+/// corrupt frame. Leaves the file as it is.
+std::map<std::string, double> replayJournal(const std::string &CachePath) {
+  std::map<std::string, double> Entries;
+  journalAt(CachePath).replay([&](const uint8_t *Data, size_t Size) {
+    return decodeJournalPayload(Data, Size, Entries);
+  });
+  return Entries;
 }
 
 Status writeCacheFile(const std::string &Path,
                       const std::map<std::string, double> &Entries) {
   assert(Entries.size() <= MaxCacheEntries && "cache grew past its cap");
   std::vector<uint8_t> Out;
-  appendU32(Out, CacheMagic);
-  appendU32(Out, CacheVersion);
-  appendU32(Out, static_cast<uint32_t>(Entries.size()));
-  for (const auto &[Key, Value] : Entries) {
-    appendU32(Out, static_cast<uint32_t>(Key.size()));
-    Out.insert(Out.end(), Key.begin(), Key.end());
-    uint64_t Bits;
-    std::memcpy(&Bits, &Value, 8);
-    appendU64(Out, Bits);
-  }
+  ByteWriter W(Out);
+  W.writeU32(CacheMagic);
+  W.writeU32(CacheVersion);
+  W.writeU32(static_cast<uint32_t>(Entries.size()));
+  for (const auto &[Key, Value] : Entries)
+    writeEntry(W, Key, Value);
 
   // Durable atomic replace (temp + fsync + rename + directory sync): a
   // crash, full disk or short write mid-save leaves the previous cache
@@ -253,6 +172,9 @@ void gpuperf::setPerfJournalCompactionThresholdForTesting(size_t Bytes) {
 
 PerfDatabase::PerfDatabase(const MachineDesc &M, std::string CachePath)
     : M(M), CachePath(std::move(CachePath)) {
+  if (!this->CachePath.empty())
+    Journal.emplace(journalPath(this->CachePath), JournalMagic,
+                    JournalVersion, MaxJournalPayload);
   // A missing file is the normal cold-cache case; a corrupt snapshot is
   // treated the same (it will be rewritten wholesale on save), and the
   // journal replay inside load() recovers every acknowledged record a
@@ -274,8 +196,6 @@ PerfDatabase::~PerfDatabase() {
   if (NeedSave)
     if (Status S = save(CachePath); S.failed())
       std::fprintf(stderr, "warning: %s\n", S.message().c_str());
-  if (JournalFd >= 0)
-    ::close(JournalFd);
 }
 
 uint64_t PerfDatabase::kernelHash(const Kernel &K, GpuGeneration Arch) {
@@ -323,83 +243,33 @@ double PerfDatabase::measureKernel(const Kernel &K,
   // simulator is deterministic, so the duplicated work is harmless (the
   // journal replay is idempotent for the duplicated frame too).
   double T = measureThroughput(M, K, Cfg);
+  if (Key.size() > MaxKeyBytes) {
+    // Loading rejects a key this long as corruption, so it may reach
+    // neither the journal nor the snapshot: serve it, never store it.
+    std::fprintf(stderr,
+                 "warning: perf cache: a %zu-byte key exceeds the %u-byte "
+                 "cap; measurement not cached\n",
+                 Key.size(), MaxKeyBytes);
+    return T;
+  }
   std::lock_guard<std::mutex> Lock(Mutex);
   Store[Key] = T;
   Dirty = true;
+  if (!Journal)
+    return T;
   // Acknowledge durably before returning: once a caller has seen this
   // value, no crash may lose it. Append failures degrade to in-memory
   // (the value is still correct; only durability is reduced).
-  if (Status S = appendJournalLocked(Key, T); S.failed())
-    std::fprintf(stderr, "warning: perf journal: %s\n",
-                 S.message().c_str());
-  return T;
-}
-
-Status PerfDatabase::appendJournalLocked(const std::string &Key,
-                                         double Value) {
-  if (CachePath.empty())
-    return Status::success();
-  std::string JPath = journalPath(CachePath);
-  if (JournalFd < 0) {
-    JournalFd = ::open(JPath.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (JournalFd < 0)
-      return Status::error("cannot open '" + JPath + "' for append");
-    // Make the journal's directory entry itself durable: without this,
-    // a power loss could lose the whole file even though every frame
-    // inside it was fsync'd.
-    syncDirectoryOf(JPath);
-  }
-
-  // Re-check the size every append: recovery (or a concurrent save to
-  // the same path) may have truncated the file under our O_APPEND fd,
-  // in which case the header must be written again.
-  struct stat St;
-  size_t FileBytes = 0;
-  if (::fstat(JournalFd, &St) == 0)
-    FileBytes = static_cast<size_t>(St.st_size);
-
   std::vector<uint8_t> Payload;
-  appendU32(Payload, static_cast<uint32_t>(Key.size()));
-  Payload.insert(Payload.end(), Key.begin(), Key.end());
-  uint64_t Bits;
-  std::memcpy(&Bits, &Value, 8);
-  appendU64(Payload, Bits);
-
-  std::vector<uint8_t> Frame;
-  if (FileBytes == 0) {
-    appendU32(Frame, JournalMagic);
-    appendU32(Frame, JournalVersion);
-  }
-  appendU32(Frame, static_cast<uint32_t>(Payload.size()));
-  appendU32(Frame, crc32(Payload.data(), Payload.size()));
-  Frame.insert(Frame.end(), Payload.begin(), Payload.end());
-
-  size_t Done = 0;
-  while (Done < Frame.size()) {
-    ssize_t N = ::write(JournalFd, Frame.data() + Done, Frame.size() - Done);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      break;
-    }
-    Done += static_cast<size_t>(N);
-  }
-  if (Done != Frame.size()) {
-    // Tear off our partial frame so the on-disk tail stays clean; if
-    // even that fails, recovery's CRC scan handles the torn tail.
-    (void)::ftruncate(JournalFd, static_cast<off_t>(FileBytes));
-    return Status::error("short append to '" + JPath + "'");
-  }
-  // The acknowledgment barrier: the record is only considered durable
-  // (and the measurement only returned to the caller) once it is on
-  // the platter, not in the page cache.
-  if (::fsync(JournalFd) != 0)
-    return Status::error("cannot fsync '" + JPath + "'");
-  JournalBytes = FileBytes + Frame.size();
-
-  if (JournalBytes > compactionThreshold())
+  ByteWriter W(Payload);
+  writeEntry(W, Key, T);
+  auto JournalBytes = Journal->append(Payload);
+  if (!JournalBytes)
+    std::fprintf(stderr, "warning: perf journal: %s\n",
+                 JournalBytes.message().c_str());
+  else if (*JournalBytes > compactionThreshold())
     compactLocked();
-  return Status::success();
+  return T;
 }
 
 void PerfDatabase::compactLocked() {
@@ -411,8 +281,7 @@ void PerfDatabase::compactLocked() {
   std::map<std::string, double> Merged;
   if (auto OnDisk = parseCacheFile(CachePath))
     Merged = std::move(*OnDisk);
-  for (const auto &[Key, Value] :
-       replayJournalFile(journalPath(CachePath)).Entries)
+  for (const auto &[Key, Value] : replayJournal(CachePath))
     Merged[Key] = Value;
   for (const auto &[Key, Value] : Store)
     Merged[Key] = Value;
@@ -425,8 +294,7 @@ void PerfDatabase::compactLocked() {
                  S.message().c_str());
     return;
   }
-  if (JournalFd >= 0 && ::ftruncate(JournalFd, 0) == 0)
-    JournalBytes = 0;
+  Journal->clear();
   Dirty = false;
 }
 
@@ -490,22 +358,18 @@ Status PerfDatabase::load(const std::string &Path) {
   // appended after the last compaction exist nowhere else, and a
   // missing snapshot next to a journal is the normal state of a
   // database that crashed before its first compaction.
-  JournalReplay Replay = replayJournalFile(journalPath(Path));
-  if (Replay.ValidBytes < Replay.FileBytes) {
-    // Torn or corrupt tail: physically truncate at the first bad frame
-    // so subsequent appends extend a clean prefix instead of burying
-    // valid frames behind garbage.
-    (void)::truncate(journalPath(Path).c_str(),
-                     static_cast<off_t>(Replay.ValidBytes));
-  }
+  std::map<std::string, double> Replayed;
+  journalAt(Path).recover([&](const uint8_t *Data, size_t Size) {
+    return decodeJournalPayload(Data, Size, Replayed);
+  });
 
   std::lock_guard<std::mutex> Lock(Mutex);
   if (Entries)
     for (auto &[Key, Value] : *Entries)
       Store.insert({Key, Value}); // Freshly-measured values win.
-  for (auto &[Key, Value] : Replay.Entries)
+  for (auto &[Key, Value] : Replayed)
     Store.insert({Key, Value});
-  if (!Replay.Entries.empty() && Path == CachePath)
+  if (!Replayed.empty() && Path == CachePath)
     Dirty = true; // Compact the replayed journal into the snapshot on exit.
   if (!Entries)
     return Entries.takeStatus();
@@ -519,7 +383,7 @@ Status PerfDatabase::save(const std::string &Path) {
   // Both the foreign snapshot and its journal count.
   if (auto OnDisk = parseCacheFile(Path))
     Merged = std::move(*OnDisk);
-  for (const auto &[Key, Value] : replayJournalFile(journalPath(Path)).Entries)
+  for (const auto &[Key, Value] : replayJournal(Path))
     Merged[Key] = Value;
   {
     std::lock_guard<std::mutex> Lock(Mutex);
@@ -533,12 +397,7 @@ Status PerfDatabase::save(const std::string &Path) {
   // Truncating (rather than unlinking) keeps any O_APPEND fd in this
   // or another database object usable -- appends re-write the header.
   std::lock_guard<std::mutex> Lock(Mutex);
-  if (Path == CachePath && JournalFd >= 0) {
-    if (::ftruncate(JournalFd, 0) == 0)
-      JournalBytes = 0;
-  } else {
-    (void)::truncate(journalPath(Path).c_str(), 0);
-  }
+  journalAt(Path).clear();
   if (Path == CachePath)
     Dirty = false;
   return Status::success();

@@ -24,8 +24,8 @@
 /// Durability model (DESIGN.md section 13). The on-disk state is a
 /// *snapshot* (the GPDB file, written atomically with temp + fsync +
 /// rename + directory sync) plus an append-only *journal*
-/// (<snapshot>.journal) of CRC32-framed records, each fsync'd before the
-/// measurement is returned to the caller. Loading replays
+/// (<snapshot>.journal, a support/FrameLog) of records, each fsync'd
+/// before the measurement is returned to the caller. Loading replays
 /// snapshot-then-journal, truncating the journal at the first corrupt
 /// frame instead of rejecting the whole cache; once the journal passes a
 /// size threshold (or at destruction) it is compacted into a fresh
@@ -43,10 +43,12 @@
 #ifndef GPUPERF_UBENCH_PERFDATABASE_H
 #define GPUPERF_UBENCH_PERFDATABASE_H
 
+#include "support/FrameLog.h"
 #include "ubench/MixBench.h"
 
 #include <map>
 #include <mutex>
+#include <optional>
 
 namespace gpuperf {
 
@@ -89,7 +91,9 @@ public:
   /// Memoized (and, with a cache path, persistent) throughput of an
   /// arbitrary generated kernel under \p Cfg -- the general entry point
   /// the mix helpers above are built on, also used directly by benches
-  /// that generate their own kernels (Figure 2, Table 2 styles).
+  /// that generate their own kernels (Figure 2, Table 2 styles). A key
+  /// longer than the file formats' 4096-byte cap (a very long kernel
+  /// name) is measured and returned with a warning but never cached.
   double measureKernel(const Kernel &K, const MeasureConfig &Cfg);
 
   /// Cache-effectiveness counters (lifetime of this object).
@@ -138,11 +142,6 @@ public:
 private:
   std::string keyFor(const Kernel &K, const MeasureConfig &Cfg) const;
 
-  /// Appends one CRC32-framed record and fsyncs it (the acknowledgment
-  /// barrier), then compacts when the journal passed its size
-  /// threshold. Caller holds Mutex.
-  Status appendJournalLocked(const std::string &Key, double Value);
-
   /// Folds snapshot + journal + Store into a fresh durable snapshot,
   /// then empties the journal -- in that order, so a crash at any point
   /// leaves every record recoverable. Caller holds Mutex.
@@ -155,8 +154,8 @@ private:
   std::map<std::string, double> Store; ///< Guarded by Mutex.
   size_t Hits = 0, Misses = 0;         ///< Guarded by Mutex.
   bool Dirty = false;                  ///< Guarded by Mutex.
-  int JournalFd = -1;                  ///< Guarded by Mutex.
-  size_t JournalBytes = 0;             ///< Guarded by Mutex.
+  /// Appends go through it; absent for in-memory databases.
+  std::optional<FrameLog> Journal;     ///< Guarded by Mutex.
 };
 
 /// Testing hook: caps the number of bytes PerfDatabase::save may write

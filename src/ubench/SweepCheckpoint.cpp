@@ -6,15 +6,8 @@
 
 #include "ubench/SweepCheckpoint.h"
 
-#include "support/Crc32.h"
-#include "support/FileIO.h"
-
-#include <cerrno>
-#include <cstring>
-
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
+#include "support/Format.h"
+#include "support/LittleEndian.h"
 
 using namespace gpuperf;
 
@@ -22,7 +15,6 @@ namespace {
 
 constexpr uint32_t CheckpointMagic = 0x4b435047; // "GPCK"
 constexpr uint32_t CheckpointVersion = 1;
-constexpr size_t HeaderBytes = 8;
 
 /// Sanity caps: a frame violating them is corruption, not data.
 constexpr uint32_t MaxNameBytes = 1u << 10;
@@ -30,115 +22,75 @@ constexpr uint32_t MaxRowBytes = 1u << 16;
 constexpr uint32_t MaxRows = 1u << 12;
 constexpr uint32_t MaxPayloadBytes = 1u << 24;
 
-void appendU32(std::vector<uint8_t> &Out, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    Out.push_back(static_cast<uint8_t>(V >> (8 * I)));
+/// Encodes one record, refusing what decodePayload would reject (the
+/// payload cap itself is FrameLog's to enforce).
+Expected<std::vector<uint8_t>>
+encodePayload(const std::string &Sweep, size_t Point,
+              const std::vector<std::string> &Rows) {
+  using Result = Expected<std::vector<uint8_t>>;
+  if (Sweep.empty() || Sweep.size() > MaxNameBytes)
+    return Result::error(formatString(
+        "sweep name of %zu bytes is outside 1..%u", Sweep.size(),
+        MaxNameBytes));
+  if (Rows.size() > MaxRows)
+    return Result::error(formatString("%zu rows exceed the cap of %u",
+                                      Rows.size(), MaxRows));
+  std::vector<uint8_t> Payload;
+  ByteWriter W(Payload);
+  W.writeString(Sweep);
+  W.writeU32(static_cast<uint32_t>(Point));
+  W.writeU32(static_cast<uint32_t>(Rows.size()));
+  for (const std::string &Row : Rows) {
+    if (Row.size() > MaxRowBytes)
+      return Result::error(formatString(
+          "a row of %zu bytes exceeds the cap of %u", Row.size(),
+          MaxRowBytes));
+    W.writeString(Row);
+  }
+  return Payload;
 }
 
-/// Little-endian cursor; mirrors the PerfDatabase reader but local so
-/// the two journals stay independently evolvable.
-class Reader {
-public:
-  Reader(const uint8_t *Data, size_t Size) : Data(Data), Size(Size) {}
-
-  bool readU32(uint32_t &V) {
-    if (Pos + 4 > Size)
-      return false;
-    V = 0;
-    for (int I = 0; I < 4; ++I)
-      V |= static_cast<uint32_t>(Data[Pos++]) << (8 * I);
-    return true;
-  }
-  bool readBytes(std::string &S, uint32_t N) {
-    if (Pos + N > Size)
-      return false;
-    S.assign(reinterpret_cast<const char *>(Data + Pos), N);
-    Pos += N;
-    return true;
-  }
-  bool atEnd() const { return Pos == Size; }
-  size_t pos() const { return Pos; }
-
-private:
-  const uint8_t *Data;
-  size_t Size;
-  size_t Pos = 0;
-};
-
-bool decodePayload(const std::string &Payload, std::string &Sweep,
+bool decodePayload(const uint8_t *Data, size_t Size, std::string &Sweep,
                    uint32_t &Point, std::vector<std::string> &Rows) {
-  Reader R(reinterpret_cast<const uint8_t *>(Payload.data()),
-           Payload.size());
-  uint32_t NameLen = 0, RowCount = 0;
-  if (!R.readU32(NameLen) || NameLen == 0 || NameLen > MaxNameBytes)
+  ByteReader R(Data, Size);
+  uint32_t RowCount = 0;
+  if (!R.readString(Sweep) || Sweep.empty() || Sweep.size() > MaxNameBytes ||
+      !R.readU32(Point) || !R.readU32(RowCount) || RowCount > MaxRows)
     return false;
-  if (!R.readBytes(Sweep, NameLen))
-    return false;
-  if (!R.readU32(Point))
-    return false;
-  if (!R.readU32(RowCount) || RowCount > MaxRows)
-    return false;
-  Rows.clear();
-  for (uint32_t I = 0; I < RowCount; ++I) {
-    uint32_t Len = 0;
-    std::string Row;
-    if (!R.readU32(Len) || Len > MaxRowBytes || !R.readBytes(Row, Len))
+  Rows.resize(RowCount);
+  for (std::string &Row : Rows)
+    if (!R.readString(Row) || Row.size() > MaxRowBytes)
       return false;
-    Rows.push_back(std::move(Row));
-  }
   return R.atEnd();
 }
 
 } // namespace
 
-SweepCheckpoint::SweepCheckpoint(std::string P, bool Resume)
-    : Path(std::move(P)) {
+SweepCheckpoint::SweepCheckpoint(std::string Path, bool Resume) {
   if (Path.empty())
     return;
-
-  size_t ValidBytes = 0;
-  if (Resume) {
-    if (auto File = readFileBytes(Path)) {
-      const std::vector<uint8_t> &Bytes = *File;
-      Reader R(Bytes.data(), Bytes.size());
-      uint32_t Magic = 0, Version = 0;
-      if (R.readU32(Magic) && Magic == CheckpointMagic &&
-          R.readU32(Version) && Version == CheckpointVersion) {
-        ValidBytes = HeaderBytes;
-        for (;;) {
-          uint32_t Len = 0, Crc = 0;
-          std::string Payload;
-          if (!R.readU32(Len) || Len == 0 || Len > MaxPayloadBytes ||
-              !R.readU32(Crc) || !R.readBytes(Payload, Len) ||
-              crc32(Payload.data(), Payload.size()) != Crc)
-            break;
-          std::string Sweep;
-          uint32_t Point = 0;
-          std::vector<std::string> Rows;
-          if (!decodePayload(Payload, Sweep, Point, Rows))
-            break;
-          Done[{Sweep, Point}] = std::move(Rows);
-          ValidBytes = R.pos();
-        }
-      }
-      if (ValidBytes < Bytes.size())
-        (void)::truncate(Path.c_str(), static_cast<off_t>(ValidBytes));
-    }
-  } else {
+  Log.emplace(std::move(Path), CheckpointMagic, CheckpointVersion,
+              MaxPayloadBytes);
+  if (!Resume) {
     // A fresh run owes the user a fresh sweep: drop stale completions
     // so every point is re-executed.
-    (void)::truncate(Path.c_str(), 0);
+    Log->clear();
+    return;
   }
-}
-
-SweepCheckpoint::~SweepCheckpoint() {
-  if (Fd >= 0)
-    ::close(Fd);
+  Log->recover([this](const uint8_t *Data, size_t Size) {
+    std::string Sweep;
+    uint32_t Point = 0;
+    std::vector<std::string> Rows;
+    if (!decodePayload(Data, Size, Sweep, Point, Rows))
+      return false;
+    Done[{Sweep, Point}] = std::move(Rows);
+    return true;
+  });
 }
 
 const std::vector<std::string> *
 SweepCheckpoint::lookup(const std::string &Sweep, size_t Point) const {
-  if (Path.empty())
+  if (!Log)
     return nullptr;
   std::lock_guard<std::mutex> Lock(Mutex);
   auto It = Done.find({Sweep, Point});
@@ -152,63 +104,18 @@ size_t SweepCheckpoint::recordCount() const {
 
 Status SweepCheckpoint::markDone(const std::string &Sweep, size_t Point,
                                  const std::vector<std::string> &Rows) {
-  if (Path.empty())
+  if (!Log)
     return Status::success();
-
-  std::vector<uint8_t> Payload;
-  appendU32(Payload, static_cast<uint32_t>(Sweep.size()));
-  Payload.insert(Payload.end(), Sweep.begin(), Sweep.end());
-  appendU32(Payload, static_cast<uint32_t>(Point));
-  appendU32(Payload, static_cast<uint32_t>(Rows.size()));
-  for (const std::string &Row : Rows) {
-    appendU32(Payload, static_cast<uint32_t>(Row.size()));
-    Payload.insert(Payload.end(), Row.begin(), Row.end());
-  }
+  auto Payload = encodePayload(Sweep, Point, Rows);
+  if (!Payload)
+    return Status::error("sweep checkpoint '" + Log->path() +
+                         "': " + Payload.message());
 
   std::lock_guard<std::mutex> Lock(Mutex);
-  if (Fd < 0) {
-    Fd = ::open(Path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (Fd < 0)
-      return Status::error("cannot open sweep checkpoint '" + Path + "'");
-    syncDirectoryOf(Path);
-  }
-
-  // Re-check the size each append (the file may have been truncated by
-  // recovery) and re-emit the header when writing from offset zero.
-  struct stat St;
-  size_t FileBytes = 0;
-  if (::fstat(Fd, &St) == 0)
-    FileBytes = static_cast<size_t>(St.st_size);
-
-  std::vector<uint8_t> Frame;
-  if (FileBytes == 0) {
-    appendU32(Frame, CheckpointMagic);
-    appendU32(Frame, CheckpointVersion);
-  }
-  appendU32(Frame, static_cast<uint32_t>(Payload.size()));
-  appendU32(Frame, crc32(Payload.data(), Payload.size()));
-  Frame.insert(Frame.end(), Payload.begin(), Payload.end());
-
-  size_t DoneBytes = 0;
-  while (DoneBytes < Frame.size()) {
-    ssize_t N =
-        ::write(Fd, Frame.data() + DoneBytes, Frame.size() - DoneBytes);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      break;
-    }
-    DoneBytes += static_cast<size_t>(N);
-  }
-  if (DoneBytes != Frame.size()) {
-    (void)::ftruncate(Fd, static_cast<off_t>(FileBytes));
-    return Status::error("short append to sweep checkpoint '" + Path +
-                         "'");
-  }
-  // Acknowledgment barrier: only a record that reached the disk may
-  // later justify skipping the point.
-  if (::fsync(Fd) != 0)
-    return Status::error("cannot fsync sweep checkpoint '" + Path + "'");
+  // Only a record that reached the disk may later justify skipping the
+  // point.
+  if (auto Size = Log->append(*Payload); !Size)
+    return Size.takeStatus();
   Done[{Sweep, Point}] = Rows;
   return Status::success();
 }

@@ -1,4 +1,4 @@
-//===- ubench/SweepRunner.cpp - supervised, resumable sweeps --------------===//
+//===- ubench/SweepRunner.cpp - run-once, resumable sweeps ----------------===//
 //
 // Part of the gpuperf project: reproduction of Lai & Seznec, CGO 2013.
 //
@@ -41,11 +41,10 @@ SweepResult gpuperf::runSupervisedSweep(const SweepOptions &O,
   // Per-index slots keep the parallel run deterministic: workers write
   // only their own point's state; everything order-sensitive (report
   // assembly, digest) happens on the calling thread afterwards.
-  std::vector<std::optional<TaskOutcome>> Failures(N);
+  std::vector<std::optional<std::string>> Failures(N);
   std::vector<uint8_t> FromCheckpoint(N, 0);
   std::vector<std::string> CheckpointErrors(N);
 
-  Supervisor Sup(O.Policy);
   parallelFor(O.Jobs, N, [&](size_t I) {
     if (O.Checkpoint) {
       if (const std::vector<std::string> *Rows =
@@ -56,24 +55,18 @@ SweepResult gpuperf::runSupervisedSweep(const SweepOptions &O,
       }
     }
 
-    std::vector<std::string> Rows;
-    TaskOutcome Outcome = Sup.run([&](const Supervisor::Attempt &A) {
-      SweepPointAttempt R = Point(I, A);
-      if (R.Result.K == AttemptResult::Kind::Ok)
-        Rows = std::move(R.Rows);
-      return R.Result;
-    });
-    if (!Outcome.ok()) {
-      Failures[I] = Outcome;
+    SweepPointAttempt R = Point(I, Name);
+    if (R.Failure) {
+      Failures[I] = std::move(R.Failure);
       return;
     }
     if (O.Checkpoint) {
       // Record completion durably before exposing the result: once the
       // sweep moves on, a kill must not cause a double run.
-      if (Status S = O.Checkpoint->markDone(Name, I, Rows); S.failed())
+      if (Status S = O.Checkpoint->markDone(Name, I, R.Rows); S.failed())
         CheckpointErrors[I] = S.message();
     }
-    Out.Rows[I] = std::move(Rows);
+    Out.Rows[I] = std::move(R.Rows);
   });
 
   uint64_t Hash = 0xcbf29ce484222325ull;
@@ -88,12 +81,7 @@ SweepResult gpuperf::runSupervisedSweep(const SweepOptions &O,
         Hash = fnv1aU64(Hash, Row.size());
       }
     } else if (Failures[I]) {
-      SweepPointFailure F;
-      F.Point = I;
-      F.Result = Failures[I]->Result;
-      F.Attempts = Failures[I]->Attempts;
-      F.Reason = Failures[I]->Error;
-      Out.Report.Incomplete.push_back(std::move(F));
+      Out.Report.Incomplete.push_back({I, std::move(*Failures[I])});
     }
     if (!CheckpointErrors[I].empty()) {
       if (Out.Report.CheckpointErrors == 0)

@@ -1,4 +1,4 @@
-//===- ubench/SweepRunner.h - supervised, resumable sweeps ------*- C++ -*-===//
+//===- ubench/SweepRunner.h - run-once, resumable sweeps --------*- C++ -*-===//
 //
 // Part of the gpuperf project: reproduction of Lai & Seznec, CGO 2013.
 //
@@ -6,21 +6,20 @@
 ///
 /// \file
 /// The crash-safe sweep engine: evaluates N independent sweep points
-/// across a thread pool with per-point supervision (bounded retries,
-/// deadline escalation, quarantine -- support/Supervisor.h) and optional
+/// across a thread pool, running each point once, with optional
 /// checkpoint/resume (ubench/SweepCheckpoint.h). A sweep never aborts on
-/// a hostile point: it completes with the failing points listed in an
-/// explicit incomplete set, and every completed point's rows are
-/// bit-identical to what an unsupervised runSweep would have produced
-/// (pinned by sweep_supervisor_test). bench/BenchUtil.h wraps this for
-/// the figure/table benches; the atlas service builds on it directly.
+/// a failing point: the simulator is deterministic, so a failure would
+/// repeat on every retry, and the point is listed in an explicit
+/// incomplete set instead while the other points complete. Every
+/// completed point's rows are bit-identical to what a plain runSweep
+/// would have produced (pinned by sweep_supervisor_test).
+/// bench/BenchUtil.h wraps this for the figure/table benches.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GPUPERF_UBENCH_SWEEPRUNNER_H
 #define GPUPERF_UBENCH_SWEEPRUNNER_H
 
-#include "support/Supervisor.h"
 #include "ubench/SweepCheckpoint.h"
 
 #include <functional>
@@ -28,38 +27,26 @@
 
 namespace gpuperf {
 
-/// What one attempt at one sweep point reports: a result (the rendered
-/// rows for that point) or a classified failure the supervisor reacts
-/// to (see AttemptResult for the retry semantics of each kind).
+/// What one sweep point reports: its rendered rows, or why it failed.
 struct SweepPointAttempt {
-  AttemptResult Result;
-  std::vector<std::string> Rows; ///< Valid when Result is Ok.
+  std::vector<std::string> Rows;      ///< Valid when Failure is empty.
+  std::optional<std::string> Failure; ///< Set when the point failed.
 
   static SweepPointAttempt ok(std::vector<std::string> Rows) {
-    SweepPointAttempt A;
-    A.Rows = std::move(Rows);
-    return A;
-  }
-  static SweepPointAttempt transient(std::string Why) {
-    return {AttemptResult::transient(std::move(Why)), {}};
-  }
-  static SweepPointAttempt timeout(std::string Why) {
-    return {AttemptResult::timeout(std::move(Why)), {}};
+    return {std::move(Rows), std::nullopt};
   }
   static SweepPointAttempt fatal(std::string Why) {
-    return {AttemptResult::fatal(std::move(Why)), {}};
+    return {{}, std::move(Why)};
   }
 };
 
 /// One point the sweep could not complete.
 struct SweepPointFailure {
   size_t Point = 0;
-  TaskOutcome::State Result = TaskOutcome::State::Failed;
-  int Attempts = 0;
   std::string Reason;
 };
 
-/// Summary of one supervised sweep, emitted into bench --json records.
+/// Summary of one sweep, emitted into bench --json records.
 struct SweepReport {
   std::string Name;
   size_t Points = 0;
@@ -76,10 +63,9 @@ struct SweepReport {
   bool complete() const { return Incomplete.empty(); }
 };
 
-/// Execution knobs for one supervised sweep.
+/// Execution knobs for one sweep.
 struct SweepOptions {
   int Jobs = 0;                          ///< As runSweep/parallelFor.
-  SupervisorPolicy Policy;               ///< Retry/deadline policy.
   SweepCheckpoint *Checkpoint = nullptr; ///< Optional resume journal.
 };
 
@@ -90,15 +76,16 @@ struct SweepResult {
   SweepReport Report;
 };
 
-/// Point evaluator: index + supervised attempt context (attempt number,
-/// escalated deadline). Must be safe to call concurrently.
+/// Point evaluator: point index and sweep name. Must be safe to call
+/// concurrently.
+// Only benchmark/Workloads.cpp's lambda takes the name; drop it with that.
 using SweepPointFn =
-    std::function<SweepPointAttempt(size_t, const Supervisor::Attempt &)>;
+    std::function<SweepPointAttempt(size_t, const std::string &)>;
 
-/// Evaluates \p Point(0..N-1) under \p O. Completed points are recorded
-/// in the checkpoint (when given) the moment they finish; checkpointed
-/// points are served without re-running. Results are indexed by point
-/// and identical for every Jobs value.
+/// Evaluates \p Point(0..N-1) under \p O, each point once. Completed
+/// points are recorded in the checkpoint (when given) the moment they
+/// finish; checkpointed points are served without re-running. Results
+/// are indexed by point and identical for every Jobs value.
 SweepResult runSupervisedSweep(const SweepOptions &O,
                                const std::string &Name, size_t N,
                                const SweepPointFn &Point);

@@ -1,17 +1,16 @@
-//===- tests/SweepSupervisorTest.cpp - supervised, resumable sweeps -------===//
+//===- tests/SweepSupervisorTest.cpp - run-once, resumable sweeps ---------===//
 //
 // Part of the gpuperf project: reproduction of Lai & Seznec, CGO 2013.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The sweep engine's supervision and resume contract: transient
-/// failures retry with exponential backoff, timeouts retry with a
-/// doubled deadline, deterministic failures quarantine immediately, a
-/// hostile point degrades the sweep to an explicit incomplete list
-/// instead of aborting it, and --resume serves checkpointed points
+/// The sweep engine's run-once and resume contract: every point runs
+/// once, a failing point degrades the sweep to an explicit incomplete
+/// list instead of aborting it, and --resume serves checkpointed points
 /// without ever re-running them -- with the combined output (rows and
-/// digest) bit-identical to an uninterrupted run.
+/// digest) bit-identical to an uninterrupted run. A record the
+/// checkpoint could not replay is never acknowledged.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +21,6 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
-#include <mutex>
 
 using namespace gpuperf;
 
@@ -41,40 +39,27 @@ protected:
         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
         ".ckpt";
     std::remove(CkptPath.c_str());
-    // Retries must not actually sleep in unit tests. The hook can fire
-    // from sweep worker threads, so the log is mutex-guarded.
-    Supervisor::setSleepFnForTesting([this](int Ms) {
-      std::lock_guard<std::mutex> Lock(SleepMutex);
-      Sleeps.push_back(Ms);
-    });
   }
-  void TearDown() override {
-    Supervisor::setSleepFnForTesting(nullptr);
-    std::remove(CkptPath.c_str());
-  }
+  void TearDown() override { std::remove(CkptPath.c_str()); }
 
-  SweepOptions serialOptions(int MaxAttempts = 1) {
+  SweepOptions serialOptions() {
     SweepOptions O;
     O.Jobs = 1;
-    O.Policy.MaxAttempts = MaxAttempts;
     return O;
   }
 
   std::string CkptPath;
-  std::mutex SleepMutex;
-  std::vector<int> Sleeps;
 };
 
 TEST_F(SweepSupervisor, HealthySweepMatchesUnsupervisedOutput) {
-  // The identity requirement: with every point healthy, the supervised
-  // engine's rows are exactly what a plain runSweep produces, for any
-  // job count.
+  // The identity requirement: with every point healthy, the engine's
+  // rows are exactly what a plain runSweep produces, for any job count.
   for (int Jobs : {1, 4}) {
-    SweepOptions O = serialOptions(3);
+    SweepOptions O = serialOptions();
     O.Jobs = Jobs;
     SweepResult R = runSupervisedSweep(
         O, "healthy", 8,
-        [](size_t I, const Supervisor::Attempt &) {
+        [](size_t I, const std::string &) {
           return SweepPointAttempt::ok(rowsFor(I));
         });
     ASSERT_TRUE(R.Report.complete());
@@ -87,102 +72,34 @@ TEST_F(SweepSupervisor, HealthySweepMatchesUnsupervisedOutput) {
   }
 }
 
-TEST_F(SweepSupervisor, TransientFailuresRetryUntilSuccess) {
-  std::atomic<int> Attempts{0};
+TEST_F(SweepSupervisor, FatalFailuresQuarantineWithoutRetry) {
+  std::atomic<int> Runs{0};
   SweepResult R = runSupervisedSweep(
-      serialOptions(3), "transient", 1,
-      [&](size_t I, const Supervisor::Attempt &A) {
-        ++Attempts;
-        if (A.Index < 2)
-          return SweepPointAttempt::transient("simulated contention");
-        return SweepPointAttempt::ok(rowsFor(I));
-      });
-  EXPECT_TRUE(R.Report.complete());
-  EXPECT_EQ(Attempts.load(), 3);
-  ASSERT_TRUE(R.Rows[0].has_value());
-  EXPECT_EQ(*R.Rows[0], rowsFor(0));
-  EXPECT_EQ(Sleeps.size(), 2u) << "each retry backs off once";
-}
-
-TEST_F(SweepSupervisor, ExhaustedRetriesReportFailedPoint) {
-  SweepResult R = runSupervisedSweep(
-      serialOptions(3), "exhausted", 3,
-      [&](size_t I, const Supervisor::Attempt &) {
+      serialOptions(), "fatal", 3, [&](size_t I, const std::string &Name) {
+        EXPECT_EQ(Name, "fatal");
+        ++Runs;
         if (I == 1)
-          return SweepPointAttempt::transient("always failing");
+          return SweepPointAttempt::fatal("deterministic trap");
         return SweepPointAttempt::ok(rowsFor(I));
       });
+  EXPECT_EQ(Runs.load(), 3) << "every point runs exactly once";
   // The sweep completes minus an explicit incomplete list -- it never
-  // aborts, and healthy points are unaffected.
+  // aborts, and the points beside the failed one are unaffected.
   EXPECT_FALSE(R.Report.complete());
   EXPECT_EQ(R.Report.Completed, 2u);
   ASSERT_EQ(R.Report.Incomplete.size(), 1u);
   EXPECT_EQ(R.Report.Incomplete[0].Point, 1u);
-  EXPECT_EQ(R.Report.Incomplete[0].Result, TaskOutcome::State::Failed);
-  EXPECT_EQ(R.Report.Incomplete[0].Attempts, 3);
-  EXPECT_EQ(R.Report.Incomplete[0].Reason, "always failing");
+  EXPECT_EQ(R.Report.Incomplete[0].Reason, "deterministic trap");
   EXPECT_FALSE(R.Rows[1].has_value());
-  EXPECT_TRUE(R.Rows[0].has_value());
-  EXPECT_TRUE(R.Rows[2].has_value());
-}
-
-TEST_F(SweepSupervisor, FatalFailuresQuarantineWithoutRetry) {
-  std::atomic<int> Attempts{0};
-  SweepResult R = runSupervisedSweep(
-      serialOptions(5), "fatal", 1,
-      [&](size_t, const Supervisor::Attempt &) {
-        ++Attempts;
-        return SweepPointAttempt::fatal("deterministic trap");
-      });
-  ASSERT_EQ(R.Report.Incomplete.size(), 1u);
-  EXPECT_EQ(R.Report.Incomplete[0].Result, TaskOutcome::State::Quarantined);
-  EXPECT_EQ(Attempts.load(), 1)
-      << "a deterministic failure must never be retried";
-  EXPECT_TRUE(Sleeps.empty());
-}
-
-TEST_F(SweepSupervisor, TimeoutsEscalateTheDeadline) {
-  std::vector<uint64_t> Deadlines;
-  SweepOptions O = serialOptions(3);
-  O.Policy.DeadlineCycles = 100;
-  SweepResult R = runSupervisedSweep(
-      O, "deadline", 1,
-      [&](size_t I, const Supervisor::Attempt &A) {
-        Deadlines.push_back(A.DeadlineCycles);
-        if (A.Index < 2)
-          return SweepPointAttempt::timeout("watchdog fired");
-        return SweepPointAttempt::ok(rowsFor(I));
-      });
-  EXPECT_TRUE(R.Report.complete());
-  // The per-launch watchdog escalation: each retry of a timed-out point
-  // doubles the cycle budget.
-  EXPECT_EQ(Deadlines, (std::vector<uint64_t>{100, 200, 400}));
-}
-
-TEST_F(SweepSupervisor, BackoffScheduleIsExponentialAndCapped) {
-  EXPECT_EQ(Supervisor::backoffMs({4, 3, 1000, 0}, 1), 3);
-  EXPECT_EQ(Supervisor::backoffMs({4, 3, 1000, 0}, 2), 6);
-  EXPECT_EQ(Supervisor::backoffMs({4, 3, 1000, 0}, 3), 12);
-  EXPECT_EQ(Supervisor::backoffMs({8, 3, 20, 0}, 5), 20) << "capped";
-  EXPECT_EQ(Supervisor::backoffMs({4, 0, 1000, 0}, 3), 0)
-      << "base 0 disables sleeping";
-
-  std::atomic<int> Attempts{0};
-  SweepOptions O = serialOptions(4);
-  O.Policy.BackoffBaseMs = 7;
-  O.Policy.BackoffCapMs = 1000;
-  runSupervisedSweep(O, "backoff", 1,
-                     [&](size_t, const Supervisor::Attempt &) {
-                       ++Attempts;
-                       return SweepPointAttempt::transient("again");
-                     });
-  EXPECT_EQ(Attempts.load(), 4);
-  EXPECT_EQ(Sleeps, (std::vector<int>{7, 14, 28}));
+  ASSERT_TRUE(R.Rows[0].has_value());
+  ASSERT_TRUE(R.Rows[2].has_value());
+  EXPECT_EQ(*R.Rows[0], rowsFor(0));
+  EXPECT_EQ(*R.Rows[2], rowsFor(2));
 }
 
 TEST_F(SweepSupervisor, CheckpointPreventsDoubleRuns) {
   std::atomic<int> Runs{0};
-  auto Point = [&](size_t I, const Supervisor::Attempt &) {
+  auto Point = [&](size_t I, const std::string &) {
     ++Runs;
     return SweepPointAttempt::ok(rowsFor(I));
   };
@@ -222,7 +139,7 @@ TEST_F(SweepSupervisor, ResumeRunsOnlyTheMissingPoints) {
     O.Checkpoint = &Ckpt;
     SweepResult R = runSupervisedSweep(
         O, "sweep", 5,
-        [](size_t I, const Supervisor::Attempt &) {
+        [](size_t I, const std::string &) {
           if (I == 2)
             return SweepPointAttempt::fatal("hostile point");
           return SweepPointAttempt::ok(rowsFor(I));
@@ -239,7 +156,7 @@ TEST_F(SweepSupervisor, ResumeRunsOnlyTheMissingPoints) {
   O.Checkpoint = &Ckpt;
   SweepResult R = runSupervisedSweep(
       O, "sweep", 5,
-      [&](size_t I, const Supervisor::Attempt &) {
+      [&](size_t I, const std::string &) {
         ++Runs;
         return SweepPointAttempt::ok(rowsFor(I));
       });
@@ -249,7 +166,7 @@ TEST_F(SweepSupervisor, ResumeRunsOnlyTheMissingPoints) {
 
   SweepResult Uninterrupted = runSupervisedSweep(
       serialOptions(), "sweep", 5,
-      [](size_t I, const Supervisor::Attempt &) {
+      [](size_t I, const std::string &) {
         return SweepPointAttempt::ok(rowsFor(I));
       });
   EXPECT_EQ(R.Report.RowsHash, Uninterrupted.Report.RowsHash)
@@ -295,6 +212,40 @@ TEST_F(SweepSupervisor, CheckpointRecoversFromTornTail) {
   EXPECT_EQ(Again.recordCount(), 3u);
 }
 
+TEST_F(SweepSupervisor, OverCapRecordsAreNeverAcknowledged) {
+  // A record the replay would reject must fail markDone instead of being
+  // fsync'd and acknowledged: otherwise resume stops at it and truncates
+  // away every acknowledged record after it.
+  const std::vector<std::string> BigRow = {std::string(70000, 'r')};
+  std::atomic<int> Runs{0};
+  auto Point = [&](size_t I, const std::string &) {
+    ++Runs;
+    return SweepPointAttempt::ok(I == 1 ? BigRow : rowsFor(I));
+  };
+  {
+    SweepCheckpoint Ckpt(CkptPath, false);
+    SweepOptions O = serialOptions();
+    O.Checkpoint = &Ckpt;
+    SweepResult R = runSupervisedSweep(O, "s", 3, Point);
+    EXPECT_EQ(R.Report.Completed, 3u) << "the rows are still served";
+    EXPECT_EQ(R.Report.CheckpointErrors, 1u);
+    // The other caps: sweep name length and row count.
+    EXPECT_TRUE(Ckpt.markDone("", 5, rowsFor(5)).failed());
+    EXPECT_TRUE(Ckpt.markDone(std::string(2000, 'n'), 5, rowsFor(5)).failed());
+    EXPECT_TRUE(
+        Ckpt.markDone("s", 5, std::vector<std::string>(5000, "x")).failed());
+    EXPECT_EQ(Ckpt.recordCount(), 2u);
+  }
+  SweepCheckpoint Ckpt(CkptPath, true);
+  EXPECT_EQ(Ckpt.recordCount(), 2u) << "points 0 and 2 survive the resume";
+  SweepOptions O = serialOptions();
+  O.Checkpoint = &Ckpt;
+  Runs = 0;
+  SweepResult R = runSupervisedSweep(O, "s", 3, Point);
+  EXPECT_EQ(Runs.load(), 1) << "only the unacknowledged point re-runs";
+  EXPECT_EQ(R.Report.Resumed, 2u);
+}
+
 TEST_F(SweepSupervisor, CheckpointKeysBySweepName) {
   SweepCheckpoint Ckpt(CkptPath, false);
   ASSERT_FALSE(Ckpt.markDone("alpha", 0, rowsFor(0)).failed());
@@ -306,7 +257,7 @@ TEST_F(SweepSupervisor, CheckpointKeysBySweepName) {
 TEST_F(SweepSupervisor, RowsHashIgnoresExecutionOrder) {
   // The digest is computed in index order from per-index slots, so jobs
   // and scheduling cannot perturb it.
-  auto Point = [](size_t I, const Supervisor::Attempt &) {
+  auto Point = [](size_t I, const std::string &) {
     return SweepPointAttempt::ok(rowsFor(I));
   };
   SweepOptions Serial = serialOptions();

@@ -44,10 +44,10 @@ fi
 # scheduler suite is threaded through its Jobs=2 padded-verify case, so
 # it rides along; the profile suite exercises the per-SM profile merge
 # under the parallel launcher; the journal and sweep-supervisor suites
-# cover the journaled PerfDatabase and the retrying sweep engine, whose
-# checkpoint appends and sleep hooks run on pool worker threads; the
-# probe suite merges per-SM probe clones under the parallel launcher
-# and the process-wide engine behind its mutex.
+# cover the journaled PerfDatabase and the sweep engine, whose
+# checkpoint appends run on pool worker threads; the probe suite merges
+# per-SM probe clones under the parallel launcher and the process-wide
+# engine behind its mutex.
 TSAN_BUILD="$BUILD-tsan"
 cmake -S "$ROOT" -B "$TSAN_BUILD" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
