@@ -11,46 +11,21 @@
 
 #include <atomic>
 #include <cassert>
+#include <iterator>
 #include <mutex>
 
 using namespace gpuperf;
 
 int64_t ProbeEventRecord::get(ProbeField F) const {
-  switch (F) {
-  case ProbeField::PC:
-    return PC;
-  case ProbeField::Op:
-    return Op;
-  case ProbeField::Class:
-    return Class;
-  case ProbeField::Lanes:
-    return Lanes;
-  case ProbeField::Block:
-    return Block;
-  case ProbeField::Warp:
-    return Warp;
-  case ProbeField::Cycle:
-    return Cycle;
-  case ProbeField::Dual:
-    return Dual;
-  case ProbeField::Space:
-    return Space;
-  case ProbeField::Width:
-    return Width;
-  case ProbeField::Bytes:
-    return Bytes;
-  case ProbeField::Transactions:
-    return Transactions;
-  case ProbeField::Serialization:
-    return Serialization;
-  case ProbeField::Cause:
-    return Cause;
-  case ProbeField::Slots:
-    return Slots;
-  case ProbeField::Insts:
-    return Insts;
-  }
-  return 0;
+  using R = ProbeEventRecord;
+  // Indexed by ProbeField, in its declaration order.
+  static constexpr int64_t R::*Fields[] = {
+      &R::PC,    &R::Op,    &R::Class, &R::Lanes,
+      &R::Block, &R::Warp,  &R::Cycle, &R::Dual,
+      &R::Space, &R::Width, &R::Bytes, &R::Transactions,
+      &R::Serialization, &R::Cause, &R::Slots, &R::Insts};
+  static_assert(std::size(Fields) == NumProbeFields);
+  return this->*Fields[static_cast<size_t>(F)];
 }
 
 ProbeEngine::ProbeEngine(std::vector<ProbeSpec> S) : Specs(std::move(S)) {
@@ -147,9 +122,7 @@ int64_t foldInput(const ProbeSpec &S, const ProbeEventRecord &R) {
 
 } // namespace
 
-void ProbeEngine::fire(ProbeEvent E, const ProbeEventRecord &Raw) {
-  ProbeEventRecord R = Raw;
-  R.Cycle += static_cast<int64_t>(WaveCycleOffset);
+void ProbeEngine::fire(ProbeEvent E, const ProbeEventRecord &R) {
   for (size_t I = 0; I < Specs.size(); ++I) {
     const ProbeSpec &S = Specs[I];
     bool Listens = S.Event == E || (S.Event == ProbeEvent::PCReached &&

@@ -6,14 +6,14 @@
 ///
 /// \file
 /// Evaluates parsed probe specs against simulation events. The engine is
-/// the imperative half of the probe layer: the SM simulator fires events
-/// at the same points Stats/Profile/Trace already observe, the engine
-/// applies each spec's filters and folds matching events into an
-/// accumulator (optionally split by a key field).
+/// the imperative half of the probe layer: it is one of the sinks of the
+/// simulator's event stream (sim/Observers.h), applies each spec's
+/// filters and folds matching events into an accumulator (optionally
+/// split by a key field).
 ///
-/// Concurrency model, mirroring SimTrace/KernelProfile:
-///   - each SM task fires into its own private clone (emptyClone), so the
-///     hot path takes no locks;
+/// Concurrency model, shared with SimTrace/KernelProfile:
+///   - each SM's observer set fires into its own private clone
+///     (emptyClone), so the hot path takes no locks;
 ///   - the launcher merges per-SM clones in SM index order, before any
 ///     failure check, on both the serial and parallel paths;
 ///   - every aggregation is commutative and associative over integers, so
@@ -48,6 +48,7 @@ inline constexpr int ProbesObjectVersion = 1;
 /// One fired event: the firing site fills the fields its event carries
 /// (probeEventFields) and leaves the rest at their defaults. Fields are
 /// plain int64 so filters, keys, and values share one representation.
+/// The same record feeds every observation sink (sim/Observers.h).
 struct ProbeEventRecord {
   int64_t PC = -1;
   int64_t Op = -1;
@@ -55,7 +56,7 @@ struct ProbeEventRecord {
   int64_t Lanes = 0;
   int64_t Block = -1;
   int64_t Warp = -1;
-  int64_t Cycle = 0; ///< Wave-local; fire() adds the wave's cycle offset.
+  int64_t Cycle = 0; ///< Wave-local; SMObservers::fire adds the offset.
   int64_t Dual = 0;
   int64_t Space = -1;
   int64_t Width = 0;
@@ -65,6 +66,9 @@ struct ProbeEventRecord {
   int64_t Cause = -1;
   int64_t Slots = 0;
   int64_t Insts = 0;
+  // Not ProbeFields: no spec can name them. Only the trace reads them.
+  int32_t Scheduler = -1; ///< slot_lost: the scheduler that lost slots.
+  int32_t WarpSlot = -1;  ///< inst_issued: the warp's slot in the wave.
 
   int64_t get(ProbeField F) const;
 };
@@ -90,21 +94,18 @@ public:
   ProbeEngine() = default;
   explicit ProbeEngine(std::vector<ProbeSpec> Specs);
 
-  /// True when the engine has any probes; firing sites gate on
-  /// `E && E->wants(event)` so a disabled engine costs one branch.
+  /// True when the engine has any probes.
   bool enabled() const { return !Specs.empty(); }
+  /// True when some spec listens to \p E (InstIssued also for PCReached).
   bool wants(ProbeEvent E) const {
     return Wanted[static_cast<size_t>(E)];
   }
 
-  /// Sets the cycle offset added to every fired event's Cycle field, so
-  /// watchpoints read on the SM launch timeline across waves -- the same
-  /// bracketing TraceRecorder::beginWave uses.
-  void beginWave(uint64_t CycleOffset) { WaveCycleOffset = CycleOffset; }
-
   /// Folds one event into every spec that listens to \p E and passes its
   /// filters. InstIssued events additionally feed PCReached specs (the
-  /// alias exists purely for watchpoint-flavoured spec phrasing).
+  /// alias exists purely for watchpoint-flavoured spec phrasing). \p R's
+  /// Cycle is used as given: the observer set has already shifted it
+  /// onto the SM launch timeline.
   void fire(ProbeEvent E, const ProbeEventRecord &R);
 
   /// A fresh engine with the same specs and zeroed state -- the per-SM
@@ -134,7 +135,6 @@ private:
   std::vector<ProbeSpec> Specs;
   std::vector<ProbeState> States; ///< Parallel to Specs.
   bool Wanted[NumProbeEvents] = {};
-  uint64_t WaveCycleOffset = 0;
 };
 
 /// A standalone --probe-out record: schema_version, record:"probes",

@@ -56,8 +56,9 @@
 
 namespace gpuperf {
 
-/// Simulation events a probe can attach to. Fired by the SM simulator at
-/// the same points Stats/Profile/Trace already observe.
+/// Simulation events a probe can attach to. The SM simulator fires each
+/// once, into the observer set that also feeds the trace and the profile
+/// (sim/Observers.h).
 enum class ProbeEvent : uint8_t {
   InstIssued,     ///< A warp instruction issued (dual-issue seconds too).
   PCReached,      ///< Alias view of InstIssued for watchpoint phrasing:
@@ -65,7 +66,8 @@ enum class ProbeEvent : uint8_t {
   MemAccess,      ///< A shared or global memory instruction issued.
   Replay,         ///< A Kepler mis-hint replay penalty was charged.
   BankConflict,   ///< A shared access serialized beyond the allowance.
-  SlotLost,       ///< A scheduler issue slot was lost to some cause.
+  SlotLost,       ///< A span of one scheduler's issue slots was lost to
+                  ///< one cause (`slots` long).
   BlockScheduled, ///< A block became resident on an SM (wave start).
   BlockDrained,   ///< The last live warp of a block exited.
   WarpExit,       ///< A warp executed EXIT.

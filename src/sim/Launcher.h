@@ -57,27 +57,26 @@ struct LaunchConfig {
   /// Like the rest of the launch API this assumes the CUDA contract that
   /// blocks of one launch do not communicate through global memory.
   int Jobs = 1;
-  /// When non-null, the launch records a per-warp issue / per-scheduler
-  /// stall timeline into *Trace (ring-buffered per track, capacity
-  /// Trace->RingCapacity; see sim/Trace.h). Events are merged in SM
-  /// index order, so the trace -- like everything else -- is
-  /// bit-identical for every Jobs value. Null (the default) costs one
-  /// untaken branch per issue: tracing is zero-overhead when off.
+  /// The observation sinks. Each one that is set (a probe engine also
+  /// needs probes) receives the simulator's one event stream through a
+  /// per-SM observer set (sim/Observers.h), merged in SM index order
+  /// before any trap is reported, so every sink is bit-identical for
+  /// every Jobs value, trapping launches included. With all three off,
+  /// each firing site costs one untaken test.
+  ///
+  /// Trace: a per-warp issue / per-scheduler stall timeline
+  /// (ring-buffered per track, capacity Trace->RingCapacity; see
+  /// sim/Trace.h).
   SimTrace *Trace = nullptr;
-  /// When non-null, the launch accumulates per-static-instruction
-  /// counters into *Profile (issues, dual-issue pairs, replays, lost
-  /// slots by cause; see sim/Profile.h). Collected per SM and merged in
-  /// SM index order, so the profile is bit-identical for every Jobs
-  /// value, and satisfies Profile->breakdown() == Result.Stats.Breakdown
-  /// on success. Null (the default) is zero-overhead, like Trace.
+  /// Profile: per-static-instruction counters (issues, dual-issue pairs,
+  /// replays, lost slots by cause; see sim/Profile.h), satisfying
+  /// Profile->breakdown() == Result.Stats.Breakdown on success.
   KernelProfile *Profile = nullptr;
-  /// When non-null, the launch evaluates *Probes' specs over its
-  /// simulation events (see probe/ProbeEngine.h). Each SM fires into a
-  /// private clone, merged in SM index order under mergeTrace's failure
-  /// rule, so probe results are bit-identical for every Jobs value. When
-  /// null, a process-wide engine installed via setProcessProbeEngine
-  /// (BenchRun --probe) is used instead -- partials merge into it when
-  /// the launch returns, on every path including traps.
+  /// Probes: the engine's specs evaluated over the events (see
+  /// probe/ProbeEngine.h). When null, a process-wide engine installed via
+  /// setProcessProbeEngine (BenchRun --probe) is used instead -- partials
+  /// merge into it when the launch returns, on every path including
+  /// traps.
   ProbeEngine *Probes = nullptr;
 };
 

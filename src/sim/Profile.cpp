@@ -6,9 +6,33 @@
 
 #include "sim/Profile.h"
 
+#include "probe/ProbeEngine.h"
+
 #include <cassert>
 
 namespace gpuperf {
+
+void KernelProfile::record(ProbeEvent E, const ProbeEventRecord &R) {
+  switch (E) {
+  case ProbeEvent::InstIssued: {
+    PCCounters &C = PCs[static_cast<size_t>(R.PC)];
+    C.Issues += 1;
+    C.DualIssues += R.Dual ? 1 : 0;
+    break;
+  }
+  case ProbeEvent::Replay:
+    PCs[static_cast<size_t>(R.PC)].Replays += 1;
+    break;
+  case ProbeEvent::SlotLost: {
+    PCCounters &C = R.PC >= 0 ? PCs[static_cast<size_t>(R.PC)] : NoPC;
+    C.StallSlots[static_cast<size_t>(R.Cause)] +=
+        static_cast<uint64_t>(R.Slots);
+    break;
+  }
+  default:
+    break;
+  }
+}
 
 void KernelProfile::add(const KernelProfile &O) {
   if (PCs.empty())
@@ -20,24 +44,10 @@ void KernelProfile::add(const KernelProfile &O) {
   NoPC.add(O.NoPC);
 }
 
-uint64_t KernelProfile::totalIssues() const {
-  uint64_t T = NoPC.Issues;
+uint64_t KernelProfile::total(uint64_t PCCounters::*Field) const {
+  uint64_t T = NoPC.*Field;
   for (const PCCounters &C : PCs)
-    T += C.Issues;
-  return T;
-}
-
-uint64_t KernelProfile::totalDualIssues() const {
-  uint64_t T = NoPC.DualIssues;
-  for (const PCCounters &C : PCs)
-    T += C.DualIssues;
-  return T;
-}
-
-uint64_t KernelProfile::totalReplays() const {
-  uint64_t T = NoPC.Replays;
-  for (const PCCounters &C : PCs)
-    T += C.Replays;
+    T += C.*Field;
   return T;
 }
 

@@ -12,10 +12,13 @@
 /// in (the FFMA/LDS.X mix, bank-conflict surcharges, and dual-issue
 /// pairing are all properties of individual instructions).
 ///
-/// Attribution rules (mirroring the SlotUse taxonomy of PR 3):
+/// The profile is a sink of the simulator's event stream
+/// (sim/Observers.h): it counts inst_issued, replay and slot_lost
+/// records. Attribution rules (mirroring the SlotUse taxonomy):
 ///  * an issued warp instruction counts one Issue at its PC (a dual-issue
-///    second counts an Issue *and* a DualIssue; the pair still consumed
-///    one scheduler slot, owned by the first instruction);
+///    second, fired with dual=1, counts an Issue *and* a DualIssue; the
+///    pair still consumed one scheduler slot, owned by the first
+///    instruction);
 ///  * a lost scheduler slot is charged to the PC of the *oldest*
 ///    non-eligible instruction among the scheduler's warps with the
 ///    winning (highest-priority) block reason -- the warp waiting longest
@@ -28,14 +31,14 @@
 ///
 /// Profiles are collected per SM and merged in SM index order, so -- like
 /// the stats, traces and memory image -- the result is bit-identical for
-/// every LaunchConfig::Jobs value. When no profile is requested the
-/// simulator's only cost is an untaken null-pointer branch per event.
+/// every LaunchConfig::Jobs value.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GPUPERF_SIM_PROFILE_H
 #define GPUPERF_SIM_PROFILE_H
 
+#include "probe/ProbeSpec.h"
 #include "sim/Stats.h"
 
 #include <array>
@@ -43,6 +46,8 @@
 #include <vector>
 
 namespace gpuperf {
+
+struct ProbeEventRecord;
 
 /// Counters of one static instruction (or of the NoPC bucket).
 struct PCCounters {
@@ -91,12 +96,6 @@ public:
   size_t codeSize() const { return PCs.size(); }
   bool empty() const { return PCs.empty(); }
 
-  /// Drops all counters and resizes to \p CodeSize instructions.
-  void reset(size_t CodeSize) {
-    PCs.assign(CodeSize, PCCounters());
-    NoPC = PCCounters();
-  }
-
   PCCounters &at(size_t PC) { return PCs[PC]; }
   const PCCounters &at(size_t PC) const { return PCs[PC]; }
 
@@ -104,28 +103,11 @@ public:
   PCCounters &noPC() { return NoPC; }
   const PCCounters &noPC() const { return NoPC; }
 
-  //===--------------------------------------------------------------------===//
-  // Simulator-side accounting hooks
-  //===--------------------------------------------------------------------===//
-
-  /// One warp instruction issued at \p PC.
-  void countIssue(int PC) { PCs[static_cast<size_t>(PC)].Issues += 1; }
-
-  /// The instruction at \p PC issued as the second of a dual-issue pair
-  /// (call *in addition to* countIssue).
-  void countDualIssue(int PC) {
-    PCs[static_cast<size_t>(PC)].DualIssues += 1;
-  }
-
-  /// One replay penalty charged while the warp sat at \p PC.
-  void countReplay(int PC) { PCs[static_cast<size_t>(PC)].Replays += 1; }
-
-  /// \p N scheduler slots lost to \p Use, attributed to \p PC (or to the
-  /// NoPC bucket when \p PC is negative).
-  void countStall(int PC, SlotUse Use, uint64_t N) {
-    PCCounters &C = PC >= 0 ? PCs[static_cast<size_t>(PC)] : NoPC;
-    C.StallSlots[static_cast<size_t>(Use)] += N;
-  }
+  /// Counts one event of the simulator's stream: an inst_issued at R.PC
+  /// (plus a DualIssue when R.Dual), a replay at R.PC, or R.Slots lost to
+  /// R.Cause at R.PC (the NoPC bucket when R.PC is negative). Ignores
+  /// every other event.
+  void record(ProbeEvent E, const ProbeEventRecord &R);
 
   //===--------------------------------------------------------------------===//
   // Aggregation and identities
@@ -136,11 +118,11 @@ public:
   void add(const KernelProfile &O);
 
   /// Total warp instructions issued (== SimStats::WarpInstsIssued).
-  uint64_t totalIssues() const;
+  uint64_t totalIssues() const { return total(&PCCounters::Issues); }
   /// Total dual-issue seconds (== SimStats::DualIssues).
-  uint64_t totalDualIssues() const;
+  uint64_t totalDualIssues() const { return total(&PCCounters::DualIssues); }
   /// Total replay penalties (== SimStats::ReplayPenalties).
-  uint64_t totalReplays() const;
+  uint64_t totalReplays() const { return total(&PCCounters::Replays); }
 
   /// Reconstructs the per-cause issue-slot breakdown from the per-PC
   /// counters: Issued slots are issuedSlots() summed over PCs, every
@@ -154,6 +136,9 @@ public:
   }
 
 private:
+  /// Counter \p Field summed over every PC and the NoPC bucket.
+  uint64_t total(uint64_t PCCounters::*Field) const;
+
   std::vector<PCCounters> PCs;
   PCCounters NoPC;
 };

@@ -21,11 +21,9 @@
 
 #include "arch/MachineDesc.h"
 #include "isa/Module.h"
-#include "probe/ProbeEngine.h"
 #include "sim/Executor.h"
-#include "sim/Profile.h"
+#include "sim/Observers.h"
 #include "sim/Stats.h"
-#include "sim/Trace.h"
 #include "sim/Trap.h"
 #include "support/Error.h"
 
@@ -46,33 +44,24 @@ inline constexpr uint64_t MaxWaveCycles = 1ull << 33;
 /// deadlock): the failure message is TrapInfo::toString() and, when
 /// \p TrapOut is non-null, *TrapOut receives the full structured record.
 /// \p WatchdogCycles bounds the wave's simulated cycles (0 applies only
-/// the MaxWaveCycles backstop). When \p Trace is non-null the wave's
-/// per-warp issue and per-scheduler stall events are recorded into it
-/// (the caller brackets the wave with beginWave/endWave).
+/// the MaxWaveCycles backstop).
 ///
 /// The returned stats satisfy the issue-slot invariant: every cycle each
 /// of the machine's warp schedulers owns one issue slot, accounted to
 /// exactly one SlotUse cause, so
 ///   Stats.Breakdown.total() == Stats.Cycles * max(1, WarpSchedulersPerSM)
 ///
-/// When \p Profile is non-null the same events are additionally
-/// attributed to static instructions (accumulating across waves: the
-/// profile is reset only if its shape does not match \p K), preserving
-/// the per-cause identity Profile->breakdown() == Stats.Breakdown for
-/// successful waves -- see sim/Profile.h for the attribution rules.
-///
-/// When \p Probes is non-null (and enabled) the wave additionally fires
-/// probe events into it at the same observation points -- the caller
-/// brackets waves with ProbeEngine::beginWave so watchpoint cycles read
-/// on the SM launch timeline, mirroring the TraceRecorder protocol.
+/// When \p Obs is non-null, the wave fires each observable event into it
+/// once, as a ProbeEventRecord (sim/Observers.h); the caller brackets the
+/// wave with Obs->beginWave/endWave. On a successful wave the enabled
+/// sinks agree exactly with the stats, e.g. Profile.breakdown() ==
+/// Stats.Breakdown (see sim/Profile.h for the attribution rules).
 Expected<SimStats> simulateWave(const MachineDesc &M, const Kernel &K,
                                 Executor &Exec, const LaunchDims &Dims,
                                 const std::vector<int> &BlockIds,
                                 uint64_t WatchdogCycles = 0,
                                 TrapInfo *TrapOut = nullptr,
-                                TraceRecorder *Trace = nullptr,
-                                KernelProfile *Profile = nullptr,
-                                ProbeEngine *Probes = nullptr);
+                                SMObservers *Obs = nullptr);
 
 /// Process-wide count of SM cycles simulated by successful waves since
 /// process start (atomic; waves may run concurrently). The bench

@@ -7,6 +7,8 @@
 #include "sim/Trace.h"
 
 #include "arch/MachineDesc.h"
+#include "isa/Opcode.h"
+#include "probe/ProbeEngine.h"
 #include "support/Format.h"
 #include "support/Json.h"
 
@@ -21,9 +23,7 @@ using namespace gpuperf;
 TraceRecorder::TraceRecorder(size_t RingCapacity)
     : RingCapacity(RingCapacity < 1 ? 1 : RingCapacity) {}
 
-void TraceRecorder::beginWave(size_t NumWarps, int NumSchedulers,
-                              uint64_t Offset) {
-  CycleOffset = Offset;
+void TraceRecorder::beginWave(size_t NumWarps, int NumSchedulers) {
   WarpRings.assign(NumWarps, Ring());
   SchedRings.assign(static_cast<size_t>(NumSchedulers), Ring());
   Open.assign(static_cast<size_t>(NumSchedulers), OpenStall());
@@ -40,30 +40,32 @@ void TraceRecorder::push(Ring &R, const TraceEvent &E) {
   ++Dropped;
 }
 
-void TraceRecorder::issue(int WarpSlot, int BlockId, int WarpInBlock,
-                          uint64_t Cycle, int PC, Opcode Op) {
-  TraceEvent E;
-  E.Cycle = CycleOffset + Cycle;
-  E.Dur = 1;
-  E.PC = PC;
-  E.BlockId = BlockId;
-  E.Track = static_cast<uint16_t>(WarpSlot);
-  E.IsStall = 0;
-  E.Code = static_cast<uint8_t>(Op);
-  E.WarpInBlock = static_cast<uint8_t>(WarpInBlock);
-  push(WarpRings[static_cast<size_t>(WarpSlot)], E);
-}
-
-void TraceRecorder::stall(int Sched, uint64_t Cycle, uint64_t Cycles,
-                          SlotUse Use) {
-  OpenStall &S = Open[static_cast<size_t>(Sched)];
-  uint64_t Start = CycleOffset + Cycle;
+void TraceRecorder::record(ProbeEvent Kind, const ProbeEventRecord &R) {
+  if (Kind == ProbeEvent::InstIssued) {
+    TraceEvent E;
+    E.Cycle = static_cast<uint64_t>(R.Cycle);
+    E.Dur = 1;
+    E.PC = static_cast<int32_t>(R.PC);
+    E.BlockId = static_cast<int32_t>(R.Block);
+    E.Track = static_cast<uint16_t>(R.WarpSlot);
+    E.IsStall = 0;
+    E.Code = static_cast<uint8_t>(R.Op);
+    E.WarpInBlock = static_cast<uint8_t>(R.Warp);
+    push(WarpRings[static_cast<size_t>(R.WarpSlot)], E);
+    return;
+  }
+  if (Kind != ProbeEvent::SlotLost)
+    return;
+  OpenStall &S = Open[static_cast<size_t>(R.Scheduler)];
+  uint64_t Start = static_cast<uint64_t>(R.Cycle);
+  uint64_t Cycles = static_cast<uint64_t>(R.Slots);
+  SlotUse Use = static_cast<SlotUse>(R.Cause);
   if (S.Valid && S.Use == Use && S.Start + S.Dur == Start) {
     S.Dur += Cycles;
     return;
   }
   if (S.Valid)
-    flushStall(Sched);
+    flushStall(R.Scheduler);
   S.Start = Start;
   S.Dur = Cycles;
   S.Use = Use;

@@ -6,24 +6,23 @@
 ///
 /// \file
 /// The tracing half of the observability layer: when a launch opts in
-/// (LaunchConfig::Trace), the SM simulator records one event per issued
-/// warp instruction and one event per contiguous lost-issue-slot span per
-/// scheduler, into fixed-capacity per-track ring buffers (old events are
-/// evicted, never reallocated mid-simulation). The launcher stitches the
-/// per-SM, per-wave buffers into one chip timeline -- in SM index order,
-/// so the trace is bit-identical for every LaunchConfig::Jobs value --
-/// and writeChromeTrace() renders it as Chrome trace_event JSON loadable
-/// in chrome://tracing or Perfetto.
-///
-/// When no trace is requested the simulator's only cost is one untaken
-/// null-pointer test per issue, so tracing is zero-overhead when off.
+/// (LaunchConfig::Trace), each SM's observer set (sim/Observers.h) hands
+/// the recorder every inst_issued and slot_lost record of the event
+/// stream. It keeps one event per issued warp instruction and one event
+/// per contiguous lost-issue-slot span per scheduler, in fixed-capacity
+/// per-track ring buffers (old events are evicted, never reallocated
+/// mid-simulation). The observer set stitches the per-SM, per-wave
+/// buffers into one chip timeline -- in SM index order, so the trace is
+/// bit-identical for every LaunchConfig::Jobs value -- and
+/// writeChromeTrace() renders it as Chrome trace_event JSON loadable in
+/// chrome://tracing or Perfetto.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GPUPERF_SIM_TRACE_H
 #define GPUPERF_SIM_TRACE_H
 
-#include "isa/Opcode.h"
+#include "probe/ProbeSpec.h"
 #include "sim/Stats.h"
 #include "support/Error.h"
 
@@ -33,6 +32,7 @@
 namespace gpuperf {
 
 struct MachineDesc;
+struct ProbeEventRecord;
 
 /// One timeline event. Issue events live on a per-warp track; stall
 /// events (a span of lost issue slots with their attributed cause) live
@@ -60,28 +60,24 @@ struct TraceEvent {
 /// realistic warp-slot track id in trace viewers.
 inline constexpr uint16_t SchedTrackBase = 1000;
 
-/// Collects the events of one SM across its waves. The simulator pushes
-/// raw events; the recorder owns the ring-buffer eviction policy and the
-/// coalescing of adjacent same-cause stall spans.
+/// Collects the events of one SM across its waves. The recorder owns the
+/// ring-buffer eviction policy and the coalescing of adjacent same-cause
+/// stall spans.
 class TraceRecorder {
 public:
   /// \p RingCapacity caps the retained events per track (warp or
   /// scheduler); the newest events win.
   explicit TraceRecorder(size_t RingCapacity);
 
-  /// Starts a wave whose local cycle 0 is \p CycleOffset on the SM's
-  /// launch timeline, with \p NumWarps warp tracks and \p NumSchedulers
+  /// Starts a wave with \p NumWarps warp tracks and \p NumSchedulers
   /// scheduler tracks.
-  void beginWave(size_t NumWarps, int NumSchedulers,
-                 uint64_t CycleOffset);
+  void beginWave(size_t NumWarps, int NumSchedulers);
 
-  /// Records one issued instruction on warp track \p WarpSlot.
-  void issue(int WarpSlot, int BlockId, int WarpInBlock, uint64_t Cycle,
-             int PC, Opcode Op);
-
-  /// Records \p Cycles lost issue slots on scheduler \p Sched starting at
-  /// \p Cycle, attributed to \p Use. Adjacent same-cause spans coalesce.
-  void stall(int Sched, uint64_t Cycle, uint64_t Cycles, SlotUse Use);
+  /// Records an inst_issued event on the warp track R.WarpSlot, or a
+  /// slot_lost span on the scheduler track R.Scheduler (adjacent
+  /// same-cause spans coalesce); ignores every other event. R.Cycle is
+  /// already on the SM launch timeline.
+  void record(ProbeEvent E, const ProbeEventRecord &R);
 
   /// Flushes open stall spans; must be called after each wave completes
   /// (or traps -- a partial wave's events are still valid history).
@@ -111,7 +107,6 @@ private:
   void flushStall(int Sched);
 
   size_t RingCapacity;
-  uint64_t CycleOffset = 0;
   std::vector<Ring> WarpRings;
   std::vector<Ring> SchedRings;
   std::vector<OpenStall> Open;

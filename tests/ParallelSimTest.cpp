@@ -17,7 +17,9 @@
 
 #include "kernelgen/Baselines.h"
 #include "kernelgen/SgemmGenerator.h"
+#include "probe/ProbeEngine.h"
 #include "sim/FaultInjector.h"
+#include "sim/Launcher.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -45,13 +47,35 @@ struct FullRun {
   TrapInfo Trap;
   LaunchResult R;
   uint64_t MemHash = 0;
+  /// Filled only when the launch ran with observation on.
+  SimTrace Trace;
+  KernelProfile Profile;
+  std::string ProbeReport;
 };
+
+/// One probe per event kind the simulator fires, so every firing site
+/// feeds the observed launch.
+const char *ObserveSpecText =
+    "probe pc_issues { event inst_issued; aggregation count; key pc }\n"
+    "probe lanes { event inst_issued; aggregation sum; value lanes }\n"
+    "probe gbytes { event mem_access; aggregation sum; value bytes; "
+    "key space }\n"
+    "probe replays { event replay; aggregation count }\n"
+    "probe conflicts { event bank_conflict; aggregation count }\n"
+    "probe lost { event slot_lost; aggregation sum; value slots; "
+    "key cause }\n"
+    "probe blocks { event block_scheduled; aggregation count }\n"
+    "probe drains { event block_drained; aggregation count }\n"
+    "probe warp_work { event warp_exit; aggregation sum; value insts }\n"
+    "probe last_pc0 { event pc_reached; aggregation max; value cycle; "
+    "filter pc == 0 }\n";
 
 /// Runs the tuned NN kernel on a 192x192x64 problem (a multi-SM,
 /// multi-wave launch on both machines) with RNG-filled matrices,
-/// entirely full-sim, at \p Jobs.
+/// entirely full-sim, at \p Jobs. \p Observe attaches a trace, a
+/// profile and ObserveSpecText's probes.
 FullRun runTunedNN(const MachineDesc &M, int Jobs,
-                   uint64_t WatchdogCycles = 0) {
+                   uint64_t WatchdogCycles = 0, bool Observe = false) {
   FullRun Out;
   SgemmKernelConfig Cfg = baselineConfig(SgemmImpl::AsmTuned, M,
                                          GemmVariant::NN, 192, 192, 64);
@@ -82,6 +106,16 @@ FullRun runTunedNN(const MachineDesc &M, int Jobs,
   Launch.Mode = SimMode::Full;
   Launch.WatchdogCycles = WatchdogCycles;
   Launch.Jobs = Jobs;
+  ProbeEngine Probes;
+  if (Observe) {
+    auto Specs = parseProbeSpecs(ObserveSpecText, "<observe>");
+    EXPECT_TRUE(Specs.hasValue()) << Specs.message();
+    if (Specs.hasValue())
+      Probes = ProbeEngine(Specs.take());
+    Launch.Trace = &Out.Trace;
+    Launch.Profile = &Out.Profile;
+    Launch.Probes = &Probes;
+  }
 
   auto LR = launchKernel(M, K.take(), Launch, GM, &Out.Trap);
   if (LR.hasValue()) {
@@ -91,6 +125,7 @@ FullRun runTunedNN(const MachineDesc &M, int Jobs,
     Out.Error = LR.message();
   }
   Out.MemHash = hashMemory(GM);
+  Out.ProbeReport = Probes.report();
   return Out;
 }
 
@@ -103,6 +138,13 @@ void expectIdentical(const FullRun &A, const FullRun &B, int Jobs) {
     EXPECT_EQ(A.Trap.toString(), B.Trap.toString());
   }
   EXPECT_EQ(A.MemHash, B.MemHash);
+  // Observation follows the memory image's rule on every path: a
+  // trapping SM's partial trace, profile and probes are kept.
+  EXPECT_EQ(A.Trace.Events.size(), B.Trace.Events.size());
+  EXPECT_TRUE(A.Trace.Events == B.Trace.Events);
+  EXPECT_EQ(A.Trace.DroppedEvents, B.Trace.DroppedEvents);
+  EXPECT_TRUE(A.Profile == B.Profile);
+  EXPECT_EQ(A.ProbeReport, B.ProbeReport);
   if (!A.Ok)
     return;
   EXPECT_EQ(A.R.TotalCycles, B.R.TotalCycles);
@@ -176,12 +218,18 @@ TEST(ParallelSim, WatchdogTrapIdenticalAcrossJobs) {
   // must report the same trap as the serial path AND leave the same
   // partial writes in memory (the work of SMs before the failing one,
   // plus the failing SM's completed portion).
-  FullRun Serial = runTunedNN(gtx580(), 1, /*WatchdogCycles=*/2000);
+  // The trace, profile and probes the trapping launch leaves behind
+  // must match as well.
+  FullRun Serial = runTunedNN(gtx580(), 1, /*WatchdogCycles=*/2000,
+                              /*Observe=*/true);
   ASSERT_FALSE(Serial.Ok);
   ASSERT_TRUE(Serial.Trap.valid()) << Serial.Error;
   EXPECT_EQ(Serial.Trap.Kind, TrapKind::WatchdogTimeout);
+  EXPECT_FALSE(Serial.Trace.Events.empty());
+  EXPECT_GT(Serial.Profile.totalIssues(), 0u);
+  EXPECT_NE(Serial.ProbeReport.find("probe pc_issues"), std::string::npos);
   for (int Jobs : {2, 8})
-    expectIdentical(Serial, runTunedNN(gtx580(), Jobs, 2000), Jobs);
+    expectIdentical(Serial, runTunedNN(gtx580(), Jobs, 2000, true), Jobs);
 }
 
 //===----------------------------------------------------------------------===//

@@ -21,7 +21,9 @@
 #include "probe/ProbeEngine.h"
 #include "probe/ProbeSpec.h"
 #include "sim/Launcher.h"
+#include "sim/Observers.h"
 #include "sim/Profile.h"
+#include "sim/Trace.h"
 #include "support/Format.h"
 #include "support/Json.h"
 
@@ -204,11 +206,39 @@ TEST(ProbeEngineFold, KeysAndMergeOrderIndependence) {
   EXPECT_EQ(AB.stateByName("first")->Total.Value, 5);
 }
 
+TEST(ProbeEngineFold, RecordGetReadsEveryField) {
+  ProbeEventRecord R;
+  R.PC = 1;
+  R.Op = 2;
+  R.Class = 3;
+  R.Lanes = 4;
+  R.Block = 5;
+  R.Warp = 6;
+  R.Cycle = 7;
+  R.Dual = 8;
+  R.Space = 9;
+  R.Width = 10;
+  R.Bytes = 11;
+  R.Transactions = 12;
+  R.Serialization = 13;
+  R.Cause = 14;
+  R.Slots = 15;
+  R.Insts = 16;
+  for (size_t F = 0; F < NumProbeFields; ++F)
+    EXPECT_EQ(R.get(static_cast<ProbeField>(F)), static_cast<int64_t>(F + 1))
+        << probeFieldName(static_cast<ProbeField>(F));
+}
+
 TEST(ProbeEngineFold, WaveOffsetShiftsCycles) {
   ProbeEngine E(mustParse(
       "probe w { event mem_access; aggregation watch }\n"));
-  E.beginWave(1000);
-  E.fire(ProbeEvent::MemAccess, memRecord(4, 0, 7));
+  ObservationSinks Sinks;
+  Sinks.Probes = &E;
+  SMObservers Obs(Sinks, /*CodeSize=*/0);
+  Obs.beginWave(/*NumWarps=*/1, /*NumSchedulers=*/1, 1000);
+  Obs.fire(ProbeEvent::MemAccess, memRecord(4, 0, 7));
+  Obs.endWave();
+  Obs.mergeInto(Sinks, 0);
   EXPECT_EQ(E.stateByName("w")->Total.Value, 1007);
 }
 
@@ -279,8 +309,11 @@ void checkShadow(const MachineDesc &M) {
   NNProblem P = makeTunedNN(M);
   ProbeEngine Probes(mustParse(ShadowSpecText));
   KernelProfile Prof;
+  SimTrace Trace;
+  Trace.RingCapacity = 1 << 16; // Large enough that nothing is evicted.
   P.Launch.Probes = &Probes;
   P.Launch.Profile = &Prof;
+  P.Launch.Trace = &Trace;
   GlobalMemory GM(P.MemBytes + 512);
   auto R = launchKernel(M, P.K, P.Launch, GM);
   ASSERT_TRUE(R.hasValue()) << R.message();
@@ -347,6 +380,35 @@ void checkShadow(const MachineDesc &M) {
   // The pc_reached watchpoint saw PC 0 early in the run.
   EXPECT_TRUE(total("first_pc0").Seen);
   EXPECT_GE(total("first_pc0").Value, 0);
+
+  // The trace and the profile see the same stream: issue events match
+  // the stats in total and the profile PC by PC, stall spans summed by
+  // cause match the breakdown, and the profile's replay and dual-issue
+  // totals match the stats.
+  ASSERT_EQ(Trace.DroppedEvents, 0u);
+  std::vector<uint64_t> TracedIssues(P.K.Code.size(), 0);
+  StallBreakdown TracedLost;
+  uint64_t TracedIssueTotal = 0;
+  for (const TraceEvent &E : Trace.Events) {
+    if (E.IsStall) {
+      ASSERT_LT(E.Code, NumSlotUses);
+      TracedLost.Slots[E.Code] += E.Dur;
+      continue;
+    }
+    ASSERT_GE(E.PC, 0);
+    ASSERT_LT(static_cast<size_t>(E.PC), TracedIssues.size());
+    ++TracedIssues[static_cast<size_t>(E.PC)];
+    ++TracedIssueTotal;
+  }
+  EXPECT_EQ(TracedIssueTotal, S.WarpInstsIssued);
+  for (size_t PC = 0; PC < P.K.Code.size(); ++PC)
+    EXPECT_EQ(TracedIssues[PC], Prof.at(PC).Issues) << "PC " << PC;
+  EXPECT_EQ(TracedLost.Slots[static_cast<size_t>(SlotUse::Issued)], 0u);
+  for (size_t I = 1; I < NumSlotUses; ++I)
+    EXPECT_EQ(TracedLost.Slots[I], S.Breakdown.Slots[I])
+        << slotUseName(static_cast<SlotUse>(I));
+  EXPECT_EQ(Prof.totalReplays(), S.ReplayPenalties);
+  EXPECT_EQ(Prof.totalDualIssues(), S.DualIssues);
 }
 
 TEST(ProbeShadow, MatchesSimStatsExactlyGTX580) {
