@@ -22,6 +22,7 @@
 #include "probe/ProbeSpec.h"
 #include "sim/SMSimulator.h"
 #include "support/Args.h"
+#include "support/FileIO.h"
 #include "support/Format.h"
 #include "support/Json.h"
 #include "support/Table.h"
@@ -61,7 +62,8 @@ inline void benchPrint(const std::string &Text) {
 ///                "machines","schedule","jobs","sim_cycles",
 ///                "wall_seconds","sim_cycles_per_sec","issue_slots":
 ///                {per-cause slot counts over the whole run}} to PATH
-///                on exit -- the shape tools/perfdiff gates on
+///                on exit -- the shape tools/perfdiff gates on; a
+///                failed write is reported and exits 1
 ///   --cache PATH persistent PerfDatabase file (default:
 ///                PerfDatabase::defaultCachePath())
 ///   --no-cache   in-memory PerfDatabase only; force remeasurement
@@ -98,15 +100,10 @@ public:
         }
         return Argv[++I];
       };
-      if (Arg == "--jobs") {
-        auto N = parseInteger(needValue(), 0, 65536);
-        if (!N) {
-          std::fprintf(stderr, "%s: --jobs: %s\n", Name.c_str(),
-                       N.message().c_str());
-          std::exit(2);
-        }
-        Jobs = static_cast<int>(*N);
-      } else if (Arg == "--json")
+      if (Arg == "--jobs")
+        Jobs = static_cast<int>(
+            flagInt(Name.c_str(), "--jobs", needValue(), 0, 65536));
+      else if (Arg == "--json")
         JsonPath = needValue();
       else if (Arg == "--cache")
         CachePath = needValue();
@@ -268,14 +265,13 @@ public:
       W.endArray();
     }
     W.endObject();
-    FILE *F = std::fopen(JsonPath.c_str(), "w");
-    if (!F) {
-      std::fprintf(stderr, "%s: cannot write '%s'\n", Name.c_str(),
-                   JsonPath.c_str());
-      return;
+    // A record that was asked for but not written in full fails the
+    // run, so a full disk cannot pass for a completed bench.
+    if (Status St = writeTextFile(JsonPath, W.str() + "\n"); !St) {
+      std::fprintf(stderr, "%s: --json: %s\n", Name.c_str(),
+                   St.message().c_str());
+      std::exit(1);
     }
-    std::fprintf(F, "%s\n", W.str().c_str());
-    std::fclose(F);
   }
 
   BenchRun(const BenchRun &) = delete;

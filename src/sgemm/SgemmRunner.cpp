@@ -116,7 +116,6 @@ gpuperf::runSgemmConfig(const MachineDesc &M, SgemmKernelConfig Cfg,
   Launch.Params = {*AAddr, *BAddr, *CAddr, floatBits(Problem.Alpha),
                    floatBits(Problem.Beta)};
   Launch.Mode = Options.Mode;
-  Launch.WatchdogCycles = Options.WatchdogCycles;
   Launch.Jobs = Options.Jobs;
   Launch.Probes = Options.Probes;
 

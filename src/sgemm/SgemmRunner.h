@@ -51,9 +51,6 @@ struct SgemmRunOptions {
   SimMode Mode = SimMode::ProjectOneWave;
   bool Verify = false; ///< Requires Mode == Full.
   uint64_t Seed = 1;   ///< Matrix-content RNG seed.
-  /// Per-wave watchdog cycle budget (0 = derived default); runtime traps
-  /// fail the run with the trap diagnostic in the Expected message.
-  uint64_t WatchdogCycles = 0;
   /// Threads simulating SMs concurrently in Full mode (see
   /// LaunchConfig::Jobs); results are bit-identical for every value.
   int Jobs = 1;

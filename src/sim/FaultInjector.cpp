@@ -7,6 +7,7 @@
 #include "sim/FaultInjector.h"
 
 #include "support/Format.h"
+#include "support/LittleEndian.h"
 #include "support/Rng.h"
 #include "support/ThreadPool.h"
 
@@ -24,14 +25,6 @@ constexpr uint64_t MutantWatchdogCycles = 1ull << 18;
 /// magic/version/arch/kernel-count header, so code flips exercise the
 /// kernel-header and instruction decoders rather than the magic check.
 constexpr size_t ModuleHeaderBytes = 16;
-
-uint64_t fnv1aWord(uint64_t Hash, uint32_t Word) {
-  for (int I = 0; I < 4; ++I) {
-    Hash ^= (Word >> (8 * I)) & 0xff;
-    Hash *= 0x100000001b3ull;
-  }
-  return Hash;
-}
 
 bool isMemoryOp(const Instruction &I) {
   OpClass C = opcodeInfo(I.Op).Class;
@@ -275,9 +268,9 @@ InjectionRun FaultInjector::runModule(const Module &Mod) const {
 
   Run.Result = InjectionRun::Outcome::Completed;
   Run.Cycles = static_cast<uint64_t>(LR->TotalCycles);
-  uint64_t Hash = 0xcbf29ce484222325ull;
+  Fnv1a Hash;
   for (size_t Addr = 0; Addr + 4 <= GM.size(); Addr += 4)
-    Hash = fnv1aWord(Hash, GM.load32(static_cast<uint32_t>(Addr)));
-  Run.ResultHash = Hash;
+    Hash.u32(GM.load32(static_cast<uint32_t>(Addr)));
+  Run.ResultHash = Hash.value();
   return Run;
 }

@@ -9,10 +9,9 @@
 #include "arch/MachineDesc.h"
 #include "isa/Opcode.h"
 #include "probe/ProbeEngine.h"
+#include "support/FileIO.h"
 #include "support/Format.h"
 #include "support/Json.h"
-
-#include <cstdio>
 
 using namespace gpuperf;
 
@@ -187,13 +186,5 @@ std::string gpuperf::chromeTraceJson(const SimTrace &Trace,
 Status gpuperf::writeChromeTrace(const SimTrace &Trace,
                                  const MachineDesc &M,
                                  const std::string &Path) {
-  std::string Json = chromeTraceJson(Trace, M);
-  FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return Status::error("cannot write trace file '" + Path + "'");
-  size_t Written = std::fwrite(Json.data(), 1, Json.size(), F);
-  bool CloseOk = std::fclose(F) == 0;
-  if (Written != Json.size() || !CloseOk)
-    return Status::error("short write to trace file '" + Path + "'");
-  return Status::success();
+  return writeTextFile(Path, chromeTraceJson(Trace, M));
 }

@@ -9,7 +9,9 @@
 /// "--jobs foo" into 0 and saturates on overflow without any signal; every
 /// numeric flag in the tools and benches goes through parseInteger
 /// instead: full-string consumption, explicit range check, and a failure
-/// message naming the offending text.
+/// message naming the offending text. flagInt/flagUnsigned wrap the two
+/// integer parsers with the tools' shared failure contract: a
+/// "<tool>: <flag>: <message>" diagnostic and exit code 2 (usage).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +22,7 @@
 #include "support/Format.h"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
@@ -70,6 +73,31 @@ parseUnsigned(const char *Text, unsigned long long Max) {
     return Result::error(formatString(
         "'%s' is out of range [0, %llu]", Text, Max));
   return V;
+}
+
+/// parseInteger for the value \p Text of command-line flag \p Flag of
+/// tool \p Tool; on any parse error prints "<Tool>: <Flag>: <message>"
+/// to stderr and exits 2.
+inline long long flagInt(const char *Tool, const char *Flag,
+                         const char *Text, long long Min, long long Max) {
+  auto V = parseInteger(Text, Min, Max);
+  if (!V) {
+    std::fprintf(stderr, "%s: %s: %s\n", Tool, Flag, V.message().c_str());
+    std::exit(2);
+  }
+  return *V;
+}
+
+/// Same for unsigned flags (rejects negative values outright).
+inline unsigned long long flagUnsigned(const char *Tool, const char *Flag,
+                                       const char *Text,
+                                       unsigned long long Max) {
+  auto V = parseUnsigned(Text, Max);
+  if (!V) {
+    std::fprintf(stderr, "%s: %s: %s\n", Tool, Flag, V.message().c_str());
+    std::exit(2);
+  }
+  return *V;
 }
 
 /// Parses \p Text as a finite double in [\p Min, \p Max] with the same

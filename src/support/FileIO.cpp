@@ -52,6 +52,19 @@ gpuperf::readFileBytes(const std::string &Path) {
   return Bytes;
 }
 
+Status gpuperf::writeTextFile(const std::string &Path,
+                              const std::string &Bytes) {
+  FILE *F = std::fopen(Path.c_str(), "w");
+  if (!F)
+    return Status::error(formatString("cannot write '%s': %s",
+                                      Path.c_str(), std::strerror(errno)));
+  size_t Written = std::fwrite(Bytes.data(), 1, Bytes.size(), F);
+  bool CloseOk = std::fclose(F) == 0;
+  if (Written != Bytes.size() || !CloseOk)
+    return Status::error(formatString("short write to '%s'", Path.c_str()));
+  return Status::success();
+}
+
 void gpuperf::syncDirectoryOf(const std::string &Path) {
   int Fd = ::open(directoryOf(Path).c_str(), O_RDONLY | O_DIRECTORY);
   if (Fd < 0)

@@ -8,7 +8,9 @@
 /// The small set of file-system primitives the durability layer is built
 /// on: whole-file reads, durable atomic replacement (temporary + fsync +
 /// rename + directory fsync), and directory syncs after metadata
-/// operations. Centralizing them here gives every caller the same crash
+/// operations -- plus the one plain in-place writer every tool and
+/// bench output (profile, probe, trace and metrics records) goes
+/// through. Centralizing them here gives every caller the same crash
 /// semantics and gives the test suite one place to inject torn writes
 /// and crash points -- the I/O analog of sim/FaultInjector's "any input
 /// either works or fails structurally, never silently corrupts" stance.
@@ -32,6 +34,7 @@
 #include "support/Error.h"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace gpuperf {
@@ -47,6 +50,13 @@ Expected<std::vector<uint8_t>> readFileBytes(const std::string &Path);
 /// that instruction would.
 Status writeFileDurable(const std::string &Path, const uint8_t *Data,
                         size_t Size);
+
+/// Writes \p Bytes to \p Path in place (open, write, close; no fsync).
+/// For outputs, not durable state: unlike writeFileDurable it never
+/// renames over the target, so /dev/null, /dev/stdout and FIFOs work.
+/// Fails, naming the path, when the file cannot be opened or a write or
+/// the close fails (a full disk must not pass for a complete record).
+Status writeTextFile(const std::string &Path, const std::string &Bytes);
 
 /// fsyncs the directory containing \p Path, making a previously
 /// performed create/rename/unlink of that entry durable. Best-effort:

@@ -9,7 +9,8 @@
 /// of the project is built on: the module format (isa/Module), the
 /// FrameLog header and frames, the PerfDatabase snapshot and journal
 /// entries, and the sweep checkpoint records. A string is a u32 byte
-/// length followed by the bytes.
+/// length followed by the bytes. Fnv1a digests byte streams and
+/// integers in the same little-endian byte order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -90,6 +91,37 @@ private:
   const uint8_t *Data;
   size_t Size;
   size_t Pos = 0;
+};
+
+/// 64-bit FNV-1a, the one digest of the project's own state: the
+/// PerfDatabase kernel hash inside every cache key, sweep row digests
+/// (rows_fnv1a) and fault-injection memory-image hashes. Integers are
+/// hashed as their little-endian bytes, so digests are host-independent.
+/// Header-only so the per-byte loop inlines into every caller.
+class Fnv1a {
+public:
+  void bytes(const void *Data, size_t Size) {
+    const uint8_t *P = static_cast<const uint8_t *>(Data);
+    for (size_t I = 0; I < Size; ++I)
+      byte(P[I]);
+  }
+  void u32(uint32_t V) {
+    for (int I = 0; I < 4; ++I)
+      byte(static_cast<uint8_t>(V >> (8 * I)));
+  }
+  void u64(uint64_t V) {
+    for (int I = 0; I < 8; ++I)
+      byte(static_cast<uint8_t>(V >> (8 * I)));
+  }
+  uint64_t value() const { return Hash; }
+
+private:
+  void byte(uint8_t B) {
+    Hash ^= B;
+    Hash *= 0x100000001b3ull;
+  }
+
+  uint64_t Hash = 0xcbf29ce484222325ull;
 };
 
 } // namespace gpuperf

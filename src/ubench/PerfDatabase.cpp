@@ -202,12 +202,10 @@ uint64_t PerfDatabase::kernelHash(const Kernel &K, GpuGeneration Arch) {
   Module Mod;
   Mod.Arch = Arch;
   Mod.Kernels.push_back(K);
-  uint64_t Hash = 0xcbf29ce484222325ull;
-  for (uint8_t B : Mod.serialize()) {
-    Hash ^= B;
-    Hash *= 0x100000001b3ull;
-  }
-  return Hash;
+  std::vector<uint8_t> Bytes = Mod.serialize();
+  Fnv1a Hash;
+  Hash.bytes(Bytes.data(), Bytes.size());
+  return Hash.value();
 }
 
 std::string PerfDatabase::defaultCachePath() {

@@ -6,29 +6,10 @@
 
 #include "ubench/SweepRunner.h"
 
+#include "support/LittleEndian.h"
 #include "support/ThreadPool.h"
 
 using namespace gpuperf;
-
-namespace {
-
-uint64_t fnv1a(uint64_t Hash, const void *Data, size_t Size) {
-  const uint8_t *P = static_cast<const uint8_t *>(Data);
-  for (size_t I = 0; I < Size; ++I) {
-    Hash ^= P[I];
-    Hash *= 0x100000001b3ull;
-  }
-  return Hash;
-}
-
-uint64_t fnv1aU64(uint64_t Hash, uint64_t V) {
-  uint8_t Bytes[8];
-  for (int I = 0; I < 8; ++I)
-    Bytes[I] = static_cast<uint8_t>(V >> (8 * I));
-  return fnv1a(Hash, Bytes, 8);
-}
-
-} // namespace
 
 SweepResult gpuperf::runSupervisedSweep(const SweepOptions &O,
                                         const std::string &Name, size_t N,
@@ -69,16 +50,16 @@ SweepResult gpuperf::runSupervisedSweep(const SweepOptions &O,
     Out.Rows[I] = std::move(R.Rows);
   });
 
-  uint64_t Hash = 0xcbf29ce484222325ull;
+  Fnv1a Hash;
   for (size_t I = 0; I < N; ++I) {
     if (Out.Rows[I]) {
       ++Out.Report.Completed;
       if (FromCheckpoint[I])
         ++Out.Report.Resumed;
-      Hash = fnv1aU64(Hash, I);
+      Hash.u64(I);
       for (const std::string &Row : *Out.Rows[I]) {
-        Hash = fnv1a(Hash, Row.data(), Row.size());
-        Hash = fnv1aU64(Hash, Row.size());
+        Hash.bytes(Row.data(), Row.size());
+        Hash.u64(Row.size());
       }
     } else if (Failures[I]) {
       Out.Report.Incomplete.push_back({I, std::move(*Failures[I])});
@@ -89,6 +70,6 @@ SweepResult gpuperf::runSupervisedSweep(const SweepOptions &O,
       ++Out.Report.CheckpointErrors;
     }
   }
-  Out.Report.RowsHash = Hash;
+  Out.Report.RowsHash = Hash.value();
   return Out;
 }

@@ -6,8 +6,10 @@
 
 #include "support/Args.h"
 #include "support/Error.h"
+#include "support/FileIO.h"
 #include "support/Format.h"
 #include "support/Json.h"
+#include "support/LittleEndian.h"
 #include "support/MathUtils.h"
 #include "support/Rng.h"
 #include "support/Table.h"
@@ -16,9 +18,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <memory>
 #include <thread>
 #include <vector>
+
+#include <sys/stat.h>
 
 using namespace gpuperf;
 
@@ -274,6 +279,55 @@ TEST(Args, ParseUnsignedRejectsNegativesAndGarbage) {
   EXPECT_FALSE(parseUnsigned("-0", 100).hasValue());
   EXPECT_FALSE(parseUnsigned("junk", 100).hasValue());
   EXPECT_FALSE(parseUnsigned("4294967296", 0xffffffffull).hasValue());
+}
+
+//===----------------------------------------------------------------------===//
+// FileIO: the plain output writer
+//===----------------------------------------------------------------------===//
+
+TEST(FileIO, WriteTextFileWritesInPlaceAndReportsFailures) {
+  std::string Path = ::testing::TempDir() + "gpuperf_write_text.txt";
+  ASSERT_FALSE(writeTextFile(Path, "abc\n").failed());
+  auto Bytes = readFileBytes(Path);
+  ASSERT_TRUE(Bytes.hasValue()) << Bytes.message();
+  EXPECT_EQ(std::string(Bytes->begin(), Bytes->end()), "abc\n");
+  std::remove(Path.c_str());
+
+  // A device is written through, never renamed over.
+  ASSERT_FALSE(writeTextFile("/dev/null", "x").failed());
+  struct stat St;
+  ASSERT_EQ(stat("/dev/null", &St), 0);
+  EXPECT_TRUE(S_ISCHR(St.st_mode));
+
+  // Every failure names the path: a missing directory fails to open, a
+  // full device (the full-disk case) fails the write or the close.
+  std::string Missing = ::testing::TempDir() + "no_such_dir/out.json";
+  Status Open = writeTextFile(Missing, "x");
+  ASSERT_TRUE(Open.failed());
+  EXPECT_NE(Open.message().find(Missing), std::string::npos);
+  Status Full = writeTextFile("/dev/full", "x");
+  ASSERT_TRUE(Full.failed());
+  EXPECT_EQ(Full.message(), "short write to '/dev/full'");
+}
+
+//===----------------------------------------------------------------------===//
+// LittleEndian: the shared FNV-1a digest
+//===----------------------------------------------------------------------===//
+
+TEST(LittleEndian, Fnv1aMatchesReferenceVectorsInByteOrder) {
+  Fnv1a Empty, A, Foobar;
+  A.bytes("a", 1);
+  Foobar.bytes("foobar", 6);
+  EXPECT_EQ(Empty.value(), 0xcbf29ce484222325ull);
+  EXPECT_EQ(A.value(), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(Foobar.value(), 0x85944171f73967e8ull);
+
+  // Integers hash as their little-endian bytes on every host.
+  Fnv1a Words, Text;
+  Words.u32(0x64636261u);
+  Words.u64(0x6867666564636261ull);
+  Text.bytes("abcdabcdefgh", 12);
+  EXPECT_EQ(Words.value(), Text.value());
 }
 
 //===----------------------------------------------------------------------===//

@@ -8,8 +8,8 @@
 /// Smoke tests for the tracing layer end to end: a traced launch yields
 /// events that render to structurally valid Chrome trace_event JSON; the
 /// trace is bit-identical for every LaunchConfig::Jobs value; ring
-/// eviction degrades gracefully; and the gpurun CLI's --metrics/--trace
-/// surface behaves byte-identically across --jobs on the paper's BR=6
+/// eviction degrades gracefully; and the gpurun CLI's --metrics/--trace/
+/// --profile surface behaves byte-identically across --jobs on the BR=6
 /// Kepler SGEMM (the acceptance property of the observability layer).
 ///
 //===----------------------------------------------------------------------===//
@@ -151,7 +151,7 @@ TEST(TraceSmoke, TinyRingEvictsOldestButStaysValid) {
 }
 
 //===----------------------------------------------------------------------===//
-// gpurun CLI: --metrics determinism and flag validation
+// gpurun CLI: --metrics/--profile determinism and flag validation
 //===----------------------------------------------------------------------===//
 
 #ifdef GPUPERF_GPURUN_PATH
@@ -225,6 +225,37 @@ TEST_F(GpurunMetrics, TraceFlagWritesValidJson) {
   EXPECT_TRUE(jsonValidate(SS.str(), &Err)) << Err;
   EXPECT_NE(SS.str().find("\"traceEvents\""), std::string::npos);
   std::remove(TracePath.c_str());
+}
+
+TEST_F(GpurunMetrics, ProfileFlagWritesJobsInvariantRecord) {
+  // --profile is the profiler CLI: the annotated report goes to stdout
+  // and the versioned record to FILE, byte-identical for every --jobs.
+  std::string Path = ::testing::TempDir() + "gpurun_profile.json";
+  std::string Out[2], Record[2];
+  for (int I : {0, 1}) {
+    std::string Cmd = formatString("%s --profile %s --jobs %d",
+                                   BaseCmd.c_str(), Path.c_str(), 1 + 3 * I);
+    ASSERT_EQ(runCommand(Cmd, &Out[I]), 0) << Out[I];
+    std::ifstream In(Path, std::ios::binary);
+    std::stringstream SS;
+    SS << In.rdbuf();
+    Record[I] = SS.str();
+  }
+  std::remove(Path.c_str());
+
+  std::string Err;
+  EXPECT_TRUE(jsonValidate(Record[0], &Err)) << Err;
+  EXPECT_NE(Record[0].find("\"record\":\"profile\""), std::string::npos);
+  EXPECT_EQ(Record[0], Record[1]);
+  EXPECT_EQ(Out[0], Out[1]);
+  // The main loop's block: region header, then achieved vs bound.
+  size_t Loop = Out[0].find("\nloop L0 [");
+  ASSERT_NE(Loop, std::string::npos) << Out[0];
+  EXPECT_NE(Out[0].find("achieved/bound FFMA density:", Loop),
+            std::string::npos);
+
+  std::string Missing = ::testing::TempDir() + "no_such_dir/profile.json";
+  EXPECT_EQ(runCommand(BaseCmd + " --profile " + Missing, &Out[0]), 1);
 }
 
 TEST_F(GpurunMetrics, MalformedFlagsAreRejectedWithUsageExit) {

@@ -3,13 +3,14 @@
 // Part of the gpuperf project: reproduction of Lai & Seznec, CGO 2013.
 //
 // Generates one of the paper's named SGEMM implementations as a binary
-// module, so scripts and CI can drive gpurun/gpuprof on the exact kernels
-// the test suite and benches study without writing C++.
+// module, so scripts and CI can drive gpurun (and its --profile, --probe
+// and --trace observers) on the exact kernels the test suite and benches
+// study without writing C++.
 //
 //   gpukgen out.gpub [--machine GTX580|GTX680] [--variant nn|nt]
 //           [--impl tuned|naive|cublas|magma] [--mnk M,N,K] [--launch]
 //
-// --launch prints, on stdout, the gpurun/gpuprof argument string for the
+// --launch prints, on stdout, the gpurun argument string for the
 // generated kernel (machine, grid, block, --mem sized for A/B/C with
 // 256-aligned bump addresses, and the five kernel parameters with
 // alpha=1, beta=0); everything else goes to stderr. Typical use:
@@ -27,7 +28,6 @@
 #include "support/Args.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -48,17 +48,7 @@ static int usage() {
   return 2;
 }
 
-/// Parses the integer value of flag \p Flag; on any parse error prints a
-/// diagnostic naming the flag and exits 2.
-static long long flagInt(const char *Flag, const char *Text, long long Min,
-                         long long Max) {
-  auto V = parseInteger(Text, Min, Max);
-  if (!V) {
-    std::fprintf(stderr, "gpukgen: %s: %s\n", Flag, V.message().c_str());
-    std::exit(2);
-  }
-  return *V;
-}
+static constexpr const char *Tool = "gpukgen";
 
 int main(int Argc, char **Argv) {
   const char *Output = nullptr;
@@ -101,11 +91,12 @@ int main(int Argc, char **Argv) {
         return 2;
       }
       SizeM = static_cast<int>(
-          flagInt("--mnk", Spec.substr(0, C1).c_str(), 1, 1 << 20));
-      SizeN = static_cast<int>(flagInt(
-          "--mnk", Spec.substr(C1 + 1, C2 - C1 - 1).c_str(), 1, 1 << 20));
+          flagInt(Tool, "--mnk", Spec.substr(0, C1).c_str(), 1, 1 << 20));
+      SizeN = static_cast<int>(
+          flagInt(Tool, "--mnk", Spec.substr(C1 + 1, C2 - C1 - 1).c_str(),
+                  1, 1 << 20));
       SizeK = static_cast<int>(
-          flagInt("--mnk", Spec.substr(C2 + 1).c_str(), 1, 1 << 20));
+          flagInt(Tool, "--mnk", Spec.substr(C2 + 1).c_str(), 1, 1 << 20));
     } else if (std::strcmp(Argv[I], "--launch") == 0) {
       PrintLaunch = true;
     } else if (Argv[I][0] == '-') {

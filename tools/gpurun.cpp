@@ -4,12 +4,16 @@
 //
 // Loads a binary module and runs one kernel on the simulated GPU,
 // printing the timing statistics -- the quick path for assembly-level
-// microbenchmarking, which is the paper's core methodology.
+// microbenchmarking, which is the paper's core methodology. It is also
+// the one observation CLI: --metrics, --trace, --probe and --profile
+// (the per-instruction profiler: annotated report on stdout, versioned
+// JSON record to FILE) attach to the same launch.
 //
 //   gpurun module.gpub [kernel] [--machine GTX580|GTX680]
 //          [--grid X[,Y]] [--block N] [--param word]... [--mem bytes]
-//          [--watchdog cycles] [--jobs N] [--metrics] [--trace FILE]
-//          [--profile FILE]
+//          [--watchdog cycles] [--jobs N] [--schedule drip|list]
+//          [--metrics] [--trace FILE] [--trace-ring N] [--profile FILE]
+//          [--probe FILE] [--probe-out FILE]
 //
 // Parameters are 32-bit words loaded into the constant bank (LDC);
 // --mem reserves a global allocation whose base address is appended as
@@ -25,10 +29,10 @@
 #include "probe/ProbeEngine.h"
 #include "sim/Launcher.h"
 #include "support/Args.h"
+#include "support/FileIO.h"
 #include "support/Format.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -83,28 +87,7 @@ static int usage() {
   return 2;
 }
 
-/// Parses the integer value of flag \p Flag (clamped to [Min, Max]); on
-/// any parse error prints a diagnostic naming the flag and exits 2.
-static long long flagInt(const char *Flag, const char *Text, long long Min,
-                         long long Max) {
-  auto V = parseInteger(Text, Min, Max);
-  if (!V) {
-    std::fprintf(stderr, "gpurun: %s: %s\n", Flag, V.message().c_str());
-    std::exit(2);
-  }
-  return *V;
-}
-
-/// Same for unsigned flags (rejects negative values outright).
-static unsigned long long flagUnsigned(const char *Flag, const char *Text,
-                                       unsigned long long Max) {
-  auto V = parseUnsigned(Text, Max);
-  if (!V) {
-    std::fprintf(stderr, "gpurun: %s: %s\n", Flag, V.message().c_str());
-    std::exit(2);
-  }
-  return *V;
-}
+static constexpr const char *Tool = "gpurun";
 
 int main(int Argc, char **Argv) {
   const char *Input = nullptr;
@@ -137,25 +120,26 @@ int main(int Argc, char **Argv) {
       size_t Comma = Spec.find(',');
       if (Comma != std::string::npos) {
         Config.Dims.GridY = static_cast<int>(flagInt(
-            "--grid", Spec.substr(Comma + 1).c_str(), 1, 1 << 30));
+            Tool, "--grid", Spec.substr(Comma + 1).c_str(), 1, 1 << 30));
         Spec.resize(Comma);
       }
-      Config.Dims.GridX =
-          static_cast<int>(flagInt("--grid", Spec.c_str(), 1, 1 << 30));
+      Config.Dims.GridX = static_cast<int>(
+          flagInt(Tool, "--grid", Spec.c_str(), 1, 1 << 30));
     } else if (std::strcmp(Argv[I], "--block") == 0 && I + 1 < Argc) {
-      Config.Dims.BlockX =
-          static_cast<int>(flagInt("--block", Argv[++I], 1, 1 << 20));
+      Config.Dims.BlockX = static_cast<int>(
+          flagInt(Tool, "--block", Argv[++I], 1, 1 << 20));
     } else if (std::strcmp(Argv[I], "--param") == 0 && I + 1 < Argc) {
       Config.Params.push_back(static_cast<uint32_t>(
-          flagUnsigned("--param", Argv[++I], 0xffffffffull)));
+          flagUnsigned(Tool, "--param", Argv[++I], 0xffffffffull)));
     } else if (std::strcmp(Argv[I], "--mem") == 0 && I + 1 < Argc) {
       MemBytes = static_cast<size_t>(
-          flagUnsigned("--mem", Argv[++I], ~0ull >> 1));
+          flagUnsigned(Tool, "--mem", Argv[++I], ~0ull >> 1));
     } else if (std::strcmp(Argv[I], "--watchdog") == 0 && I + 1 < Argc) {
-      Config.WatchdogCycles = flagUnsigned("--watchdog", Argv[++I], ~0ull);
+      Config.WatchdogCycles =
+          flagUnsigned(Tool, "--watchdog", Argv[++I], ~0ull);
     } else if (std::strcmp(Argv[I], "--jobs") == 0 && I + 1 < Argc) {
       Config.Jobs =
-          static_cast<int>(flagInt("--jobs", Argv[++I], 0, 65536));
+          static_cast<int>(flagInt(Tool, "--jobs", Argv[++I], 0, 65536));
     } else if (std::strcmp(Argv[I], "--schedule") == 0 && I + 1 < Argc) {
       auto Choice = parseChoice(Argv[++I], {"drip", "list"});
       if (!Choice) {
@@ -172,7 +156,7 @@ int main(int Argc, char **Argv) {
       TracePath = Argv[I] + 8;
     } else if (std::strcmp(Argv[I], "--trace-ring") == 0 && I + 1 < Argc) {
       Trace.RingCapacity = static_cast<size_t>(
-          flagInt("--trace-ring", Argv[++I], 1, 1 << 30));
+          flagInt(Tool, "--trace-ring", Argv[++I], 1, 1 << 30));
     } else if (std::strcmp(Argv[I], "--profile") == 0 && I + 1 < Argc) {
       ProfilePath = Argv[++I];
     } else if (std::strncmp(Argv[I], "--profile=", 10) == 0) {
@@ -349,17 +333,9 @@ int main(int Argc, char **Argv) {
     if (!ProbeOutPath.empty()) {
       std::string Json =
           probeRecordJson(Probes, MetricsSchemaVersion, M->Name, K->Name);
-      FILE *F = std::fopen(ProbeOutPath.c_str(), "w");
-      if (!F) {
-        std::fprintf(stderr, "gpurun: --probe-out: cannot write '%s'\n",
-                     ProbeOutPath.c_str());
-        return 1;
-      }
-      size_t Written = std::fwrite(Json.data(), 1, Json.size(), F);
-      bool CloseOk = std::fclose(F) == 0;
-      if (Written != Json.size() || !CloseOk) {
-        std::fprintf(stderr, "gpurun: --probe-out: short write to '%s'\n",
-                     ProbeOutPath.c_str());
+      if (Status St = writeTextFile(ProbeOutPath, Json); !St) {
+        std::fprintf(stderr, "gpurun: --probe-out: %s\n",
+                     St.message().c_str());
         return 1;
       }
       std::printf("probe record       %zu bytes -> %s\n", Json.size(),
@@ -378,17 +354,8 @@ int main(int Argc, char **Argv) {
     Info.BlockY = Config.Dims.BlockY;
     Info.TotalCycles = R->TotalCycles;
     std::string Json = profileRecordJson(*M, *K, Profile, Info);
-    FILE *F = std::fopen(ProfilePath.c_str(), "w");
-    if (!F) {
-      std::fprintf(stderr, "gpurun: --profile: cannot write '%s'\n",
-                   ProfilePath.c_str());
-      return 1;
-    }
-    size_t Written = std::fwrite(Json.data(), 1, Json.size(), F);
-    bool CloseOk = std::fclose(F) == 0;
-    if (Written != Json.size() || !CloseOk) {
-      std::fprintf(stderr, "gpurun: --profile: short write to '%s'\n",
-                   ProfilePath.c_str());
+    if (Status St = writeTextFile(ProfilePath, Json); !St) {
+      std::fprintf(stderr, "gpurun: --profile: %s\n", St.message().c_str());
       return 1;
     }
     std::printf("profile            %zu bytes -> %s\n", Json.size(),
