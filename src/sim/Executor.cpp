@@ -7,9 +7,10 @@
 // Whole-warp execution: the lane mask (active threads ANDed with the
 // guard) is computed once per instruction, each register operand is
 // resolved once to its 32-lane row, and the opcode is dispatched outside
-// the lane loop. Lanes are still visited in ascending order, so memory
-// side effects and the first faulting lane match a lane-by-lane
-// interpreter exactly.
+// the lane loop. A memory access checks its lanes in ascending order up
+// to the first faulting one and then moves the words of the lanes before
+// it in the same order, so memory side effects and the first faulting
+// lane match a lane-by-lane interpreter exactly.
 //
 //===----------------------------------------------------------------------===//
 
@@ -71,35 +72,40 @@ uint32_t compareLanes(uint32_t Mask, const uint32_t *A, const uint32_t *B,
   return Bits;
 }
 
+} // namespace
+
 /// Bank count the serialization scratch arrays are sized for; every
 /// modelled machine has 16 or 32 banks.
 constexpr int MaxSharedBanks = 32;
 
-/// Computes the shared-memory serialization multiplier for a warp access
-/// at the \p NumAddrs lane addresses in \p Addrs.
-///
-/// Banks are NumBanks words of BankBytes; lanes touching distinct words in
-/// the same bank serialize, while lanes reading the same word broadcast.
-/// The multiplier is normalized by the *inherent* degree of a perfectly
-/// sequential access of this width (e.g. LDS.64 on Fermi inherently takes
-/// two passes, which the base pipe cost already covers). An access spans
-/// at most Width / BankBytes <= NumBanks consecutive words, so each lane
-/// adds at most one word per bank and a bank's list never outgrows the
-/// warp.
-double sharedSerialization(const int64_t *Addrs, int NumAddrs, int Width,
-                           int NumBanks, int BankBytes) {
+// The multiplier is normalized by the *inherent* degree of a perfectly
+// sequential access of this width (e.g. LDS.64 on Fermi inherently takes
+// two passes, which the base pipe cost already covers). An access spans
+// at most Width / BankBytes <= NumBanks consecutive words, so each lane
+// adds at most one word per bank and a bank's list never outgrows the
+// warp. Addresses are non-negative and the bank geometry is a power of
+// two, so a shift and a mask compute the word and bank exactly as
+// division and remainder would.
+double gpuperf::sharedSerialization(const int64_t *Addrs, int NumAddrs,
+                                    int Width, int NumBanks,
+                                    int BankBytes) {
   if (NumAddrs == 0)
     return 1.0;
   assert(NumBanks <= MaxSharedBanks && Width <= NumBanks * BankBytes &&
          "bank geometry exceeds the serialization scratch arrays");
+  assert(std::has_single_bit(static_cast<unsigned>(NumBanks)) &&
+         std::has_single_bit(static_cast<unsigned>(BankBytes)) &&
+         "bank geometry must be a power of two");
+  const int WordShift = std::countr_zero(static_cast<unsigned>(BankBytes));
+  const int64_t BankMask = NumBanks - 1;
   // Distinct words per bank.
   int64_t Words[MaxSharedBanks][WarpSize];
   int Counts[MaxSharedBanks] = {};
   int Degree = 0;
   for (int A = 0; A < NumAddrs; ++A) {
     for (int Offset = 0; Offset < Width; Offset += BankBytes) {
-      int64_t Word = (Addrs[A] + Offset) / BankBytes;
-      int Bank = static_cast<int>(Word % NumBanks);
+      int64_t Word = (Addrs[A] + Offset) >> WordShift;
+      int Bank = static_cast<int>(Word & BankMask);
       int64_t *List = Words[Bank];
       int &Count = Counts[Bank];
       if (std::find(List, List + Count, Word) == List + Count) {
@@ -112,7 +118,33 @@ double sharedSerialization(const int64_t *Addrs, int NumAddrs, int Width,
   return std::max(1.0, static_cast<double>(Degree) / Ideal);
 }
 
-} // namespace
+// The lane loop is written here, not through forLanes: a loop left in
+// another function would be compiled for the default target and call
+// libm's fmaf. The rows are copied into locals so that the loop sees no
+// aliasing and vectorizes; every lane is computed and only the masked
+// lanes are stored. IEEE 754 fma is exactly rounded, so each clone
+// returns the same bits.
+#if defined(__x86_64__)
+__attribute__((target_clones("arch=x86-64-v3", "default")))
+#endif
+void gpuperf::ffmaRow(uint32_t Mask, const uint32_t *A, const uint32_t *B,
+                      const uint32_t *C, uint32_t *D) {
+  float Af[WarpSize], Bf[WarpSize], Cf[WarpSize];
+  uint32_t Out[WarpSize];
+  std::memcpy(Af, A, sizeof(Af));
+  std::memcpy(Bf, B, sizeof(Bf));
+  std::memcpy(Cf, C, sizeof(Cf));
+  for (int L = 0; L < WarpSize; ++L)
+    Out[L] = floatResultBits(std::fma(Af[L], Bf[L], Cf[L]));
+  if (Mask == 0xffffffffu) {
+    std::memcpy(D, Out, sizeof(Out));
+    return;
+  }
+  for (; Mask != 0; Mask &= Mask - 1) {
+    const int L = std::countr_zero(Mask);
+    D[L] = Out[L];
+  }
+}
 
 ExecEffects Executor::execute(const Instruction &I, WarpContext &W,
                               int BlockIdxLinear,
@@ -173,47 +205,61 @@ ExecEffects Executor::execute(const Instruction &I, WarpContext &W,
       else
         StoreRows[Word] = W.readRow(static_cast<uint8_t>(I.Src[1] + Word));
     }
+    // First pass, free of side effects: the address of each active lane,
+    // ascending, up to the first lane that would fault.
     int64_t Addrs[WarpSize];
     int NumAddrs = 0;
+    int BadLane = -1;
+    int64_t BadAddr = 0;
     for (uint32_t Lanes = Mask; Lanes != 0; Lanes &= Lanes - 1) {
       const int Lane = std::countr_zero(Lanes);
-      int64_t Addr = static_cast<int64_t>(AddrRow[Lane]) + I.Imm;
-      if (Addr % Width != 0) {
-        Fx.TrapAddress = static_cast<uint64_t>(Addr);
-        return Fault(TrapKind::MisalignedAccess, Lane,
-                     formatString("%d-byte access", Width));
-      }
-      bool Ok = IsShared ? Shared.inBounds(Addr, Width)
-                         : Addr >= 0 && Global.inBounds(
-                                            static_cast<uint64_t>(Addr),
-                                            Width);
+      const int64_t Addr = static_cast<int64_t>(AddrRow[Lane]) + I.Imm;
+      const bool Ok =
+          (Addr & (Width - 1)) == 0 &&
+          (IsShared ? Shared.inBounds(Addr, Width)
+                    : Addr >= 0 && Global.inBounds(static_cast<uint64_t>(Addr),
+                                                   Width));
       if (!Ok) {
-        Fx.TrapAddress = static_cast<uint64_t>(Addr);
-        return Fault(
-            IsShared ? (IsLoad ? TrapKind::SharedLoadOOB
-                               : TrapKind::SharedStoreOOB)
-                     : (IsLoad ? TrapKind::GlobalLoadOOB
-                               : TrapKind::GlobalStoreOOB),
-            Lane,
-            formatString("%s of %d bytes against a %lld-byte %s allocation",
-                         IsLoad ? "load" : "store", Width,
-                         IsShared ? static_cast<long long>(Shared.size())
-                                  : static_cast<long long>(Global.size()),
-                         IsShared ? "shared" : "global"));
+        BadLane = Lane;
+        BadAddr = Addr;
+        break;
       }
       Addrs[NumAddrs++] = Addr;
+    }
+    // Second pass: move the words of the lanes that passed, in the same
+    // order, so a faulting access keeps the earlier lanes' effects.
+    uint8_t *SharedBytes = Shared.data();
+    uint32_t Lanes = Mask;
+    for (int Idx = 0; Idx < NumAddrs; ++Idx, Lanes &= Lanes - 1) {
+      const int Lane = std::countr_zero(Lanes);
       for (int Word = 0; Word < Words; ++Word) {
-        int64_t A = Addr + 4 * Word;
-        if (IsLoad) {
-          LoadRows[Word][Lane] = IsShared
-                                     ? Shared.load32(A)
-                                     : Global.load32(static_cast<uint32_t>(A));
-        } else if (IsShared) {
-          Shared.store32(A, StoreRows[Word][Lane]);
-        } else {
+        const int64_t A = Addrs[Idx] + 4 * Word;
+        if (IsShared && IsLoad)
+          std::memcpy(&LoadRows[Word][Lane], SharedBytes + A, 4);
+        else if (IsShared)
+          std::memcpy(SharedBytes + A, &StoreRows[Word][Lane], 4);
+        else if (IsLoad)
+          LoadRows[Word][Lane] = Global.load32(static_cast<uint32_t>(A));
+        else
           Global.store32(static_cast<uint32_t>(A), StoreRows[Word][Lane]);
-        }
       }
+    }
+    if (BadLane >= 0) {
+      Fx.TrapAddress = static_cast<uint64_t>(BadAddr);
+      if ((BadAddr & (Width - 1)) != 0)
+        return Fault(TrapKind::MisalignedAccess, BadLane,
+                     formatString("%d-byte access", Width));
+      return Fault(
+          IsShared ? (IsLoad ? TrapKind::SharedLoadOOB
+                             : TrapKind::SharedStoreOOB)
+                   : (IsLoad ? TrapKind::GlobalLoadOOB
+                             : TrapKind::GlobalStoreOOB),
+          BadLane,
+          formatString("%s of %d bytes against a %lld-byte %s allocation",
+                       IsLoad ? "load" : "store", Width,
+                       IsShared ? static_cast<long long>(Shared.size())
+                                : static_cast<long long>(Global.size()),
+                       IsShared ? "shared" : "global"));
     }
     if (IsShared) {
       Fx.SharedSerialization = sharedSerialization(
@@ -251,10 +297,7 @@ ExecEffects Executor::execute(const Instruction &I, WarpContext &W,
 
   switch (I.Op) {
   case Opcode::FFMA:
-    forLanes(Mask, [&](int L) {
-      D[L] = floatResultBits(
-          std::fma(asFloat(A[L]), asFloat(B[L]), asFloat(C[L])));
-    });
+    ffmaRow(Mask, A, B, C, D);
     break;
   case Opcode::FADD:
     forLanes(Mask, [&](int L) {

@@ -62,6 +62,22 @@ struct ExecEffects {
   bool faulted() const { return Trap != TrapKind::None; }
 };
 
+/// FFMA on one 32-lane row: D[L] = fma(A[L], B[L], C[L]) for every lane L
+/// in \p Mask, as float bit patterns, with NaN results canonicalized to
+/// 0x7fffffff; lanes outside the mask keep their value. \p D may alias any
+/// source row. The fused multiply-add is exactly rounded (IEEE 754), so
+/// every host computes the same bits.
+void ffmaRow(uint32_t Mask, const uint32_t *A, const uint32_t *B,
+             const uint32_t *C, uint32_t *D);
+
+/// Shared-memory serialization multiplier (>= 1) of one warp access of
+/// \p Width bytes at the \p NumAddrs lane addresses in \p Addrs, which
+/// are in bounds and \p Width-aligned, on \p NumBanks banks of
+/// \p BankBytes each (both powers of two). Lanes touching distinct words
+/// in one bank serialize; lanes reading the same word broadcast.
+double sharedSerialization(const int64_t *Addrs, int NumAddrs, int Width,
+                           int NumBanks, int BankBytes);
+
 /// Functional executor bound to one launch's memories and geometry.
 ///
 /// Global memory is accessed through a GlobalMemoryView, so the same

@@ -215,23 +215,10 @@ public:
     return Addr >= 0 &&
            static_cast<size_t>(Addr + Bytes) <= Data.size();
   }
-  /// Total functions for the same reason as GlobalMemory: the executor
-  /// traps before calling these, and the guards keep NDEBUG builds safe.
-  uint32_t load32(int64_t Addr) const {
-    assert(inBounds(Addr, 4) && "shared load out of bounds");
-    if (!inBounds(Addr, 4))
-      return 0;
-    uint32_t V;
-    std::memcpy(&V, Data.data() + Addr, 4);
-    return V;
-  }
-  void store32(int64_t Addr, uint32_t Value) {
-    assert(inBounds(Addr, 4) && "shared store out of bounds");
-    if (!inBounds(Addr, 4))
-      return;
-    std::memcpy(Data.data() + Addr, &Value, 4);
-  }
   int size() const { return static_cast<int>(Data.size()); }
+  /// The raw bytes, for the executor, which bounds-checks every lane of a
+  /// warp access before it touches them.
+  uint8_t *data() { return Data.data(); }
 
 private:
   std::vector<uint8_t> Data;

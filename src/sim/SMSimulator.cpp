@@ -143,12 +143,12 @@ private:
       // Rotate the scheduler service order each cycle: the SM-wide issue
       // pipe is a shared resource, and a fixed order would systematically
       // starve the last scheduler's warps.
-      for (int Step = 0; Step < NumSchedulers; ++Step) {
-        int Sched = static_cast<int>(
-            (Step + Now) % static_cast<uint64_t>(NumSchedulers));
+      const int FirstSched =
+          static_cast<int>(Now % static_cast<uint64_t>(NumSchedulers));
+      for (int Step = 0, Sched = FirstSched; Step < NumSchedulers;
+           ++Step, Sched = Sched + 1 == NumSchedulers ? 0 : Sched + 1)
         if (Status S = runScheduler(Sched, IssuedAny); S.failed())
           return Expected<SimStats>(S);
-      }
       if (Trap)
         return Expected<SimStats>::error(Trap->toString());
       if (IssuedAny) {
@@ -392,19 +392,57 @@ private:
     return WarpBlock::None;
   }
 
-  /// Attempts to issue the next instruction of warp \p WarpIdx; true on
-  /// success. \p AllowReplayPenalty charges the warp when its operands
-  /// are not ready despite the notation saying they should be. On
-  /// failure, \p Why (when non-null) receives why this warp could not
-  /// use the slot.
-  bool tryIssue(int WarpIdx, int Sched, bool AllowReplayPenalty,
-                WarpBlock *Why = nullptr) {
-    WarpContext &W = Warps[WarpIdx];
-    if (W.Done || W.AtBarrier || W.StallUntil > Now) {
-      if (Why && !W.Done)
-        *Why = W.AtBarrier ? WarpBlock::Barrier : WarpBlock::NotationStall;
-      return false;
-    }
+  /// The side-effect-free issue checks of warp \p W on scheduler
+  /// \p Sched, in order: done; at a barrier or stalled; an invalid PC or
+  /// an instruction whose registers do not fit the files (both go to the
+  /// issue path, which traps); a busy structural pipe; the scoreboard.
+  /// Returns why the warp cannot use the slot this cycle (None for a done
+  /// warp), or nullopt when issueOrTrap must take it.
+  std::optional<WarpBlock> blockReason(const WarpContext &W,
+                                       int Sched) const {
+    if (W.Done)
+      return WarpBlock::None;
+    if (W.AtBarrier)
+      return WarpBlock::Barrier;
+    if (W.StallUntil > Now)
+      return WarpBlock::NotationStall;
+    if (W.PC < 0 || static_cast<size_t>(W.PC) >= K.Code.size() ||
+        !Decoded[W.PC].RegsOk)
+      return std::nullopt;
+    const DecodedInst &D = Decoded[W.PC];
+    if (WarpBlock Pipe = blockedPipe(D.Timing, Sched);
+        Pipe != WarpBlock::None)
+      return Pipe;
+    if (regsReadyCycle(W, D) > Now)
+      return WarpBlock::Scoreboard;
+    return std::nullopt;
+  }
+
+  /// Charges warp \p W for an operand wait its control notation did not
+  /// cover: a mis-hinted instruction is dispatched and replayed, so the
+  /// warp loses cycles AND the issue pipe burns half a slot on the
+  /// cancelled dispatch. A no-op where the hardware waits for free.
+  void chargeReplay(WarpContext &W) {
+    if (M.Generation != GpuGeneration::Kepler || !HasNotations ||
+        W.NoPenaltyWait)
+      return;
+    W.StallUntil = Now + ReplayPenaltyCycles;
+    IssuePipeFree = std::max(IssuePipeFree, static_cast<double>(Now)) +
+                    0.5 * WarpSize / M.MathIssueSlotsPerCycle;
+    ++Stats.ReplayPenalties;
+    if (wants(ProbeEvent::Replay))
+      Obs->fire(ProbeEvent::Replay,
+                {.PC = W.PC,
+                 .Block = Blocks[W.BlockSlot].BlockIdLinear,
+                 .Warp = W.WarpInBlock,
+                 .Cycle = static_cast<int64_t>(Now)});
+  }
+
+  /// Takes the slot for warp \p WarpIdx, which blockReason let through:
+  /// raises the trap of a warp that ran off the code or references
+  /// registers outside the files, and otherwise issues its instruction.
+  void issueOrTrap(int WarpIdx, int Sched) {
+    const WarpContext &W = Warps[WarpIdx];
     if (W.PC < 0 || static_cast<size_t>(W.PC) >= K.Code.size()) {
       // The warp ran off the code (bad branch target or missing EXIT).
       TrapInfo T = makeTrap(TrapKind::InvalidPC, WarpIdx, nullptr);
@@ -413,7 +451,7 @@ private:
           "(bad branch target or missing EXIT)",
           W.PC, K.Code.size());
       Trap = std::move(T);
-      return true; // Consumed the slot; the run loop stops on Trap.
+      return; // The run loop stops on Trap.
     }
     const Instruction &I = K.Code[W.PC];
     const DecodedInst &D = Decoded[W.PC];
@@ -424,37 +462,9 @@ private:
           "(or a non-architectural predicate)",
           std::max(K.RegsPerThread, 1));
       Trap = std::move(T);
-      return true;
-    }
-    if (WarpBlock Pipe = blockedPipe(D.Timing, Sched);
-        Pipe != WarpBlock::None) {
-      if (Why)
-        *Why = Pipe;
-      return false;
-    }
-    if (regsReadyCycle(W, D) > Now) {
-      if (Why)
-        *Why = WarpBlock::Scoreboard;
-      if (AllowReplayPenalty && M.Generation == GpuGeneration::Kepler &&
-          HasNotations && !W.NoPenaltyWait) {
-        // A mis-hinted instruction is dispatched and replayed: the warp
-        // loses cycles AND the issue pipe burns half a slot on the
-        // cancelled dispatch.
-        W.StallUntil = Now + ReplayPenaltyCycles;
-        IssuePipeFree = std::max(IssuePipeFree, static_cast<double>(Now)) +
-                        0.5 * WarpSize / M.MathIssueSlotsPerCycle;
-        ++Stats.ReplayPenalties;
-        if (wants(ProbeEvent::Replay))
-          Obs->fire(ProbeEvent::Replay,
-                    {.PC = W.PC,
-                     .Block = Blocks[W.BlockSlot].BlockIdLinear,
-                     .Warp = W.WarpInBlock,
-                     .Cycle = static_cast<int64_t>(Now)});
-      }
-      return false;
+      return;
     }
     issue(WarpIdx, Sched, I, D);
-    return true;
   }
 
   void issue(int WarpIdx, int Sched, const Instruction &I,
@@ -642,18 +652,18 @@ private:
     WarpBlock Best = WarpBlock::None;
     int BestPC = -1;
     uint64_t BestWait = 0;
-    int Start = RRNext[Sched] % static_cast<int>(Mine.size());
-    for (int Offset = 0; Offset < static_cast<int>(Mine.size());
-         ++Offset) {
-      int Idx = (Start + Offset) % static_cast<int>(Mine.size());
-      int WarpIdx = Mine[Idx];
-      int PCBefore = Warps[WarpIdx].PC;
-      WarpBlock Why = WarpBlock::None;
-      if (!tryIssue(WarpIdx, Sched, /*AllowReplayPenalty=*/true, &Why)) {
-        const WarpContext &W = Warps[WarpIdx];
-        if (Why > Best || (Why == Best && Why != WarpBlock::None &&
-                           W.LastIssue < BestWait)) {
-          Best = Why;
+    const int NumMine = static_cast<int>(Mine.size());
+    int Idx = RRNext[Sched];
+    for (int Offset = 0; Offset < NumMine;
+         ++Offset, Idx = Idx + 1 == NumMine ? 0 : Idx + 1) {
+      const int WarpIdx = Mine[Idx];
+      WarpContext &W = Warps[WarpIdx];
+      if (std::optional<WarpBlock> Why = blockReason(W, Sched)) {
+        if (*Why == WarpBlock::Scoreboard)
+          chargeReplay(W);
+        if (*Why > Best || (*Why == Best && *Why != WarpBlock::None &&
+                            W.LastIssue < BestWait)) {
+          Best = *Why;
           BestWait = W.LastIssue;
           BestPC = W.PC >= 0 && static_cast<size_t>(W.PC) < K.Code.size()
                        ? W.PC
@@ -661,24 +671,28 @@ private:
         }
         continue;
       }
+      const int PCBefore = W.PC;
+      issueOrTrap(WarpIdx, Sched);
       if (Trap)
         return Status::success();
       IssuedAny = true;
       ++Stats.Breakdown[SlotUse::Issued];
-      RRNext[Sched] = Idx + 1;
+      RRNext[Sched] = Idx + 1 == NumMine ? 0 : Idx + 1;
       // Kepler dual issue: a second, independent instruction from the
       // same warp when the notation permits it. The pair shares the
-      // slot already counted as Issued.
+      // slot already counted as Issued, and a second half that cannot
+      // issue is not charged a replay.
       if (M.Generation == GpuGeneration::Kepler && HasNotations) {
         const ControlField &F = Decoded[PCBefore].Field;
-        WarpContext &W = Warps[WarpIdx];
         if (F.DualIssue && F.StallCycles == 0 && !W.Done &&
             !W.AtBarrier) {
           W.StallUntil = Now; // The pair issues in the same cycle.
-          IssuingDualSecond = true;
-          if (tryIssue(WarpIdx, Sched, /*AllowReplayPenalty=*/false))
+          if (!blockReason(W, Sched)) {
+            IssuingDualSecond = true;
+            issueOrTrap(WarpIdx, Sched);
+            IssuingDualSecond = false;
             ++Stats.DualIssues;
-          IssuingDualSecond = false;
+          }
           if (W.StallUntil <= Now)
             W.StallUntil = Now + 1;
         }
@@ -721,7 +735,7 @@ private:
   /// Null when no sink is on.
   SMObservers *Obs;
   const uint64_t Budget;
-  /// True while the dual-issue second half is in tryIssue/issue, so the
+  /// True while the dual-issue second half is in issueOrTrap, so the
   /// fired InstIssued event can carry Dual=1.
   bool IssuingDualSecond = false;
 
@@ -739,6 +753,7 @@ private:
   double LdstPipeFree = 0.0;
   double MemBWFree = 0.0;
   std::vector<double> PortFree;
+  /// Each scheduler's round-robin start, an index into its warp list.
   std::vector<int> RRNext;
   /// Each scheduler's block reason in the most recent no-issue cycle
   /// (reused to attribute fast-forwarded idle spans).

@@ -1,0 +1,542 @@
+//===- tests/ExecutorTest.cpp - whole-warp executor paths -----------------===//
+//
+// Part of the gpuperf project: reproduction of Lai & Seznec, CGO 2013.
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// Pins the executor's whole-warp paths against in-test references: FFMA
+/// (ffmaRow) against libm's fma with NaN canonicalization, shared-memory
+/// serialization against division-based bank arithmetic, and LDS/STS and
+/// LD/ST against a lane-by-lane access loop, including where a lane traps.
+///
+//===----------------------------------------------------------------------===//
+
+#include "sim/Executor.h"
+#include "support/Format.h"
+#include "support/Rng.h"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstring>
+#include <set>
+#include <string>
+#include <vector>
+
+using namespace gpuperf;
+
+namespace {
+
+constexpr uint32_t FullMask = 0xffffffffu;
+constexpr uint32_t Sentinel = 0xdeadbeefu;
+
+uint32_t bitsOf(float F) { return std::bit_cast<uint32_t>(F); }
+
+/// The FFMA contract, computed independently: libm's exactly rounded fma,
+/// then the canonical quiet NaN.
+uint32_t referenceFfma(uint32_t A, uint32_t B, uint32_t C) {
+  const float R = std::fma(std::bit_cast<float>(A), std::bit_cast<float>(B),
+                           std::bit_cast<float>(C));
+  return std::isnan(R) ? 0x7fffffffu : bitsOf(R);
+}
+
+struct FfmaCase {
+  uint32_t A, B, C;
+  uint32_t Expected; ///< Worked out by hand, not by a host fma.
+};
+
+/// Inputs whose results a wrong FFMA gets wrong: fused results that
+/// differ from a rounded multiply then add, signed zeros, infinities,
+/// NaN payloads, subnormals and overflow.
+const std::vector<FfmaCase> &specialFfmaCases() {
+  static const std::vector<FfmaCase> Cases = {
+      // (1 + 2^-12)^2 - (1 + 2^-11) = 2^-24; unfused, the product rounds
+      // to 1 + 2^-11 and the sum is 0.
+      {0x3f800800, 0x3f800800, 0xbf801000, 0x33800000},
+      // FLT_MAX * 2 - FLT_MAX = FLT_MAX; unfused, the product overflows.
+      {0x7f7fffff, 0x40000000, 0xff7fffff, 0x7f7fffff},
+      // 2^-75 * 2^-75 + 2^-149 = 1.5 * 2^-149, rounds to even 2^-148;
+      // unfused, the product flushes to 0 and the sum is 2^-149.
+      {0x1a000000, 0x1a000000, 0x00000001, 0x00000002},
+      {0x00000000, 0xbf800000, 0x00000000, 0x00000000}, // +0 * -1 + +0
+      {0x80000000, 0x3f800000, 0x80000000, 0x80000000}, // -0 * 1 + -0
+      {0x7f800000, 0x40000000, 0x3f800000, 0x7f800000}, // inf * 2 + 1
+      {0xff800000, 0x40000000, 0x3f800000, 0xff800000}, // -inf * 2 + 1
+      {0x7f800000, 0x00000000, 0x3f800000, 0x7fffffff}, // inf * 0 + 1
+      {0x7f800000, 0x3f800000, 0xff800000, 0x7fffffff}, // inf - inf
+      {0x7fc01234, 0x3f800000, 0x00000000, 0x7fffffff}, // quiet NaN payload
+      {0x3f800000, 0x3f800000, 0xffc00001, 0x7fffffff}, // negative NaN
+      {0x7f800001, 0x3f800000, 0x00000000, 0x7fffffff}, // signalling NaN
+      {0x00400000, 0x3f000000, 0x00000000, 0x00200000}, // 2^-127 / 2
+      {0x00000001, 0x3f000000, 0x00000000, 0x00000000}, // 2^-150 ties to 0
+      {0x00800000, 0x3f000000, 0x00000000, 0x00400000}, // FLT_MIN / 2
+      {0x00000001, 0x3f800000, 0x00000001, 0x00000002}, // subnormal sum
+      {0x7f7fffff, 0x40000000, 0x00000000, 0x7f800000}, // overflow
+      {0xff7fffff, 0x40000000, 0x00000000, 0xff800000}, // negative overflow
+      {0x7f7fffff, 0x3f800000, 0x7f7fffff, 0x7f800000}, // FLT_MAX + FLT_MAX
+  };
+  return Cases;
+}
+
+/// One warp's A, B and C rows: the special cases first, then values
+/// drawn from \p R -- random bit patterns, so every exponent range
+/// including NaN, infinity and subnormals turns up.
+struct FfmaRows {
+  uint32_t A[WarpSize], B[WarpSize], C[WarpSize];
+};
+
+FfmaRows makeFfmaRows(Rng &R, bool WithSpecials) {
+  FfmaRows Rows;
+  const auto &Special = specialFfmaCases();
+  for (int L = 0; L < WarpSize; ++L) {
+    if (WithSpecials && static_cast<size_t>(L) < Special.size()) {
+      Rows.A[L] = Special[L].A;
+      Rows.B[L] = Special[L].B;
+      Rows.C[L] = Special[L].C;
+      continue;
+    }
+    Rows.A[L] = static_cast<uint32_t>(R.next());
+    Rows.B[L] = static_cast<uint32_t>(R.next());
+    Rows.C[L] = static_cast<uint32_t>(R.next());
+  }
+  return Rows;
+}
+
+} // namespace
+
+TEST(ExecutorFfma, SpecialCasesMatchHandResults) {
+  Rng R(1);
+  const FfmaRows Rows = makeFfmaRows(R, /*WithSpecials=*/true);
+  uint32_t D[WarpSize];
+  std::fill(D, D + WarpSize, Sentinel);
+  ffmaRow(FullMask, Rows.A, Rows.B, Rows.C, D);
+  const auto &Special = specialFfmaCases();
+  for (size_t L = 0; L < Special.size(); ++L) {
+    EXPECT_EQ(D[L], Special[L].Expected) << "lane " << L;
+    EXPECT_EQ(referenceFfma(Special[L].A, Special[L].B, Special[L].C),
+              Special[L].Expected)
+        << "lane " << L;
+  }
+  // The first case really is one where fusing matters.
+  const float Unfused = std::bit_cast<float>(Special[0].A) *
+                        std::bit_cast<float>(Special[0].B);
+  EXPECT_NE(bitsOf(Unfused + std::bit_cast<float>(Special[0].C)),
+            Special[0].Expected);
+}
+
+TEST(ExecutorFfma, FullAndPartialMasksMatchReference) {
+  Rng R(7);
+  std::vector<uint32_t> Masks = {FullMask,    0u,          1u,
+                                 0x80000000u, 0x0000ffffu, 0xa5a5a5a5u,
+                                 0xfffffffeu, 0x7fffffffu};
+  for (int I = 0; I < 24; ++I)
+    Masks.push_back(static_cast<uint32_t>(R.next()));
+  for (int Trial = 0; Trial < 64; ++Trial) {
+    const FfmaRows Rows = makeFfmaRows(R, /*WithSpecials=*/Trial == 0);
+    for (uint32_t Mask : Masks) {
+      uint32_t D[WarpSize];
+      std::fill(D, D + WarpSize, Sentinel);
+      ffmaRow(Mask, Rows.A, Rows.B, Rows.C, D);
+      for (int L = 0; L < WarpSize; ++L) {
+        const uint32_t Want = (Mask >> L) & 1
+                                  ? referenceFfma(Rows.A[L], Rows.B[L],
+                                                  Rows.C[L])
+                                  : Sentinel;
+        ASSERT_EQ(D[L], Want) << formatString("mask %08x lane %d", Mask, L);
+      }
+    }
+  }
+}
+
+TEST(ExecutorFfma, DestinationMayAliasASource) {
+  Rng R(11);
+  for (uint32_t Mask : {FullMask, 0x00ff00ffu}) {
+    const FfmaRows Rows = makeFfmaRows(R, /*WithSpecials=*/true);
+    uint32_t Want[WarpSize];
+    for (int L = 0; L < WarpSize; ++L)
+      Want[L] = (Mask >> L) & 1
+                    ? referenceFfma(Rows.A[L], Rows.B[L], Rows.C[L])
+                    : Rows.C[L];
+    // The accumulator form, FFMA Rc, Ra, Rb, Rc.
+    uint32_t Acc[WarpSize];
+    std::copy(Rows.C, Rows.C + WarpSize, Acc);
+    ffmaRow(Mask, Rows.A, Rows.B, Acc, Acc);
+    EXPECT_TRUE(std::equal(Acc, Acc + WarpSize, Want));
+    // D over A, and all three sources one row.
+    uint32_t AOut[WarpSize];
+    std::copy(Rows.A, Rows.A + WarpSize, AOut);
+    ffmaRow(Mask, AOut, Rows.B, Rows.C, AOut);
+    for (int L = 0; L < WarpSize; ++L)
+      EXPECT_EQ(AOut[L], (Mask >> L) & 1 ? Want[L] : Rows.A[L]);
+    uint32_t Same[WarpSize];
+    std::copy(Rows.B, Rows.B + WarpSize, Same);
+    ffmaRow(Mask, Same, Same, Same, Same);
+    for (int L = 0; L < WarpSize; ++L)
+      EXPECT_EQ(Same[L], (Mask >> L) & 1 ? referenceFfma(Rows.B[L], Rows.B[L],
+                                                         Rows.B[L])
+                                         : Rows.B[L]);
+  }
+}
+
+TEST(ExecutorFfma, InstructionHonoursActiveMaskAndGuard) {
+  GlobalMemory GM;
+  const std::vector<uint32_t> Params;
+  const LaunchDims Dims{1, 1, 32, 1};
+  Executor Exec(gtx580(), GM, Params, Dims);
+  SharedMemory Shared(0);
+  Rng R(3);
+  const FfmaRows Rows = makeFfmaRows(R, /*WithSpecials=*/true);
+  WarpContext W;
+  W.reset(8);
+  W.ActiveMask = 0x0fffffffu;
+  W.Preds[0] = 0xf0f0f0f0u;
+  auto Row = [&](int Reg) { return W.Regs.data() + Reg * WarpSize; };
+  std::copy(Rows.A, Rows.A + WarpSize, Row(0));
+  std::copy(Rows.B, Rows.B + WarpSize, Row(1));
+  std::copy(Rows.C, Rows.C + WarpSize, Row(2));
+  std::fill(Row(3), Row(3) + WarpSize, Sentinel);
+  Instruction I = makeFFMA(3, 0, 1, 2);
+  I.GuardPred = 0;
+  ExecEffects Fx = Exec.execute(I, W, 0, Shared);
+  ASSERT_FALSE(Fx.faulted());
+  const uint32_t Mask = W.ActiveMask & W.Preds[0];
+  for (int L = 0; L < WarpSize; ++L)
+    EXPECT_EQ(Row(3)[L], (Mask >> L) & 1
+                             ? referenceFfma(Rows.A[L], Rows.B[L], Rows.C[L])
+                             : Sentinel)
+        << "lane " << L;
+}
+
+// --- Shared-memory bank serialization ----------------------------------------
+
+namespace {
+
+/// The serialization multiplier by the definition: word = address /
+/// bank bytes, bank = word % banks, the degree is the most distinct words
+/// any bank holds, normalized by the ideal pass count of this width.
+double divisionSerialization(const std::vector<int64_t> &Addrs, int Width,
+                             int NumBanks, int BankBytes) {
+  if (Addrs.empty())
+    return 1.0;
+  std::vector<std::set<int64_t>> Banks(NumBanks);
+  size_t Degree = 0;
+  for (int64_t Addr : Addrs)
+    for (int Offset = 0; Offset < Width; Offset += BankBytes) {
+      const int64_t Word = (Addr + Offset) / BankBytes;
+      std::set<int64_t> &Bank = Banks[Word % NumBanks];
+      Bank.insert(Word);
+      Degree = std::max(Degree, Bank.size());
+    }
+  const int Ideal = std::max(
+      1, static_cast<int>(Addrs.size()) * Width / BankBytes / NumBanks);
+  return std::max(1.0, static_cast<double>(Degree) / Ideal);
+}
+
+const MachineDesc *const AllMachines[] = {&gt200(), &gtx580(), &gtx680(),
+                                          &teslaK20X()};
+constexpr MemWidth AllWidths[] = {MemWidth::B32, MemWidth::B64,
+                                  MemWidth::B128};
+
+/// One warp's shared addresses (lane order) for \p Width-byte accesses
+/// below \p Limit bytes: strided, broadcast groups, a small window with
+/// collisions, or scattered.
+std::vector<int64_t> randomSharedPattern(Rng &R, int Width, int Limit) {
+  std::vector<int64_t> Addrs(WarpSize);
+  const int64_t Slots = Limit / Width;
+  switch (R.nextBelow(4)) {
+  case 0: { // Stride in elements, wrapping inside the allocation.
+    static const int Strides[] = {0, 1, 2, 3, 4, 8, 16, 17, 32, 33};
+    const int64_t Stride = Strides[R.nextBelow(std::size(Strides))];
+    const int64_t Base = static_cast<int64_t>(R.nextBelow(Slots));
+    for (int L = 0; L < WarpSize; ++L)
+      Addrs[L] = (Base + L * Stride) % Slots * Width;
+    break;
+  }
+  case 1: { // Groups of lanes on one address (broadcast reads).
+    const int Group = 1 << R.nextBelow(6);
+    const int64_t Base = static_cast<int64_t>(R.nextBelow(Slots));
+    for (int L = 0; L < WarpSize; ++L)
+      Addrs[L] = (Base + L / Group) % Slots * Width;
+    break;
+  }
+  case 2: // A window of eight elements: many repeats, some adjacent.
+    for (int L = 0; L < WarpSize; ++L)
+      Addrs[L] = static_cast<int64_t>(R.nextBelow(8)) * Width;
+    break;
+  default:
+    for (int L = 0; L < WarpSize; ++L)
+      Addrs[L] = static_cast<int64_t>(R.nextBelow(Slots)) * Width;
+    break;
+  }
+  return Addrs;
+}
+
+/// The lanes of \p Mask, ascending.
+std::vector<int> lanesOf(uint32_t Mask) {
+  std::vector<int> Lanes;
+  for (int L = 0; L < WarpSize; ++L)
+    if ((Mask >> L) & 1)
+      Lanes.push_back(L);
+  return Lanes;
+}
+
+uint32_t randomMask(Rng &R) {
+  switch (R.nextBelow(4)) {
+  case 0:
+  case 1:
+    return FullMask;
+  case 2:
+    return static_cast<uint32_t>(R.next());
+  default:
+    return (1u << R.nextInRange(1, 31)) - 1;
+  }
+}
+
+} // namespace
+
+TEST(ExecutorShared, SerializationMatchesDivisionReference) {
+  Rng R(2024);
+  for (const MachineDesc *M : AllMachines)
+    for (MemWidth MW : AllWidths) {
+      const int Width = memWidthBytes(MW);
+      for (int Trial = 0; Trial < 400; ++Trial) {
+        std::vector<int64_t> Addrs =
+            randomSharedPattern(R, Width, 48 * 1024);
+        Addrs.resize(static_cast<size_t>(R.nextInRange(0, WarpSize)));
+        EXPECT_EQ(sharedSerialization(Addrs.data(),
+                                      static_cast<int>(Addrs.size()), Width,
+                                      M->SharedMemBanks,
+                                      M->SharedMemBankBytes),
+                  divisionSerialization(Addrs, Width, M->SharedMemBanks,
+                                        M->SharedMemBankBytes))
+            << M->Name << " width " << Width << " trial " << Trial;
+      }
+    }
+}
+
+namespace {
+
+/// Registers of the load/store tests: the address, four store-data words
+/// and four load-destination words.
+constexpr uint8_t AddrReg = 0, DataReg = 1, DestReg = 5;
+constexpr int TestRegs = 9;
+/// Size of the shared allocation, and of global memory, in those tests.
+constexpr int SpaceBytes = 4096;
+
+/// What a lane-by-lane access loop does: lanes in ascending order, each
+/// checked for alignment, then bounds, then moved word by word; the first
+/// faulting lane stops the warp with the memory effects of the lanes
+/// before it.
+struct LaneLoopResult {
+  std::vector<uint32_t> Image;            ///< Word image after the access.
+  std::vector<uint32_t> Dest;             ///< DestReg rows after a load.
+  std::vector<int64_t> Addrs;             ///< Addresses of completed lanes.
+  TrapKind Trap = TrapKind::None;
+  int Lane = -1;
+  uint64_t Address = 0;
+  std::string Detail;
+};
+
+LaneLoopResult laneLoop(const WarpContext &W, uint32_t Mask, bool IsShared,
+                        bool IsLoad, int Width, int32_t Imm,
+                        std::vector<uint32_t> Image) {
+  LaneLoopResult Out;
+  Out.Dest.assign(W.Regs.begin() + DestReg * WarpSize,
+                  W.Regs.begin() + (DestReg + 4) * WarpSize);
+  for (int L : lanesOf(Mask)) {
+    const int64_t Addr =
+        static_cast<int64_t>(W.Regs[AddrReg * WarpSize + L]) + Imm;
+    if (Addr % Width != 0) {
+      Out.Trap = TrapKind::MisalignedAccess;
+      Out.Detail = formatString("%d-byte access", Width);
+    } else if (Addr < 0 || Addr + Width > SpaceBytes) {
+      Out.Trap = IsShared ? (IsLoad ? TrapKind::SharedLoadOOB
+                                    : TrapKind::SharedStoreOOB)
+                          : (IsLoad ? TrapKind::GlobalLoadOOB
+                                    : TrapKind::GlobalStoreOOB);
+      Out.Detail = formatString(
+          "%s of %d bytes against a %d-byte %s allocation",
+          IsLoad ? "load" : "store", Width, SpaceBytes,
+          IsShared ? "shared" : "global");
+    }
+    if (Out.Trap != TrapKind::None) {
+      Out.Lane = L;
+      Out.Address = static_cast<uint64_t>(Addr);
+      break;
+    }
+    Out.Addrs.push_back(Addr);
+    for (int Word = 0; Word < Width / 4; ++Word) {
+      uint32_t &Cell = Image[static_cast<size_t>(Addr / 4 + Word)];
+      if (IsLoad)
+        Out.Dest[Word * WarpSize + L] = Cell;
+      else
+        Cell = W.Regs[(DataReg + Word) * WarpSize + L];
+    }
+  }
+  Out.Image = std::move(Image);
+  return Out;
+}
+
+/// Executes one LDS or STS (\p IsShared) or LD or ST on \p M and
+/// compares every effect with laneLoop's.
+void checkAgainstLaneLoop(const MachineDesc &M, const WarpContext &Start,
+                          bool IsShared, bool IsLoad, MemWidth MW, int32_t Imm,
+                          const std::vector<uint32_t> &Image,
+                          const std::string &Where) {
+  GlobalMemory GM(SpaceBytes);
+  SharedMemory Shared(SpaceBytes);
+  for (size_t Word = 0; Word < Image.size(); ++Word) {
+    if (IsShared)
+      std::memcpy(Shared.data() + 4 * Word, &Image[Word], 4);
+    else
+      GM.store32(static_cast<uint32_t>(4 * Word), Image[Word]);
+  }
+  const std::vector<uint32_t> Params;
+  const LaunchDims Dims{1, 1, 32, 1};
+  Executor Exec(M, GM, Params, Dims);
+  WarpContext W = Start;
+  const int Width = memWidthBytes(MW);
+  const LaneLoopResult Want =
+      laneLoop(W, W.ActiveMask, IsShared, IsLoad, Width, Imm, Image);
+
+  const Instruction I =
+      IsShared ? (IsLoad ? makeLDS(MW, DestReg, AddrReg, Imm)
+                         : makeSTS(MW, AddrReg, Imm, DataReg))
+               : (IsLoad ? makeLD(MW, DestReg, AddrReg, Imm)
+                         : makeST(MW, AddrReg, Imm, DataReg));
+  const ExecEffects Fx = Exec.execute(I, W, 0, Shared);
+  EXPECT_EQ(Fx.Trap, Want.Trap) << Where;
+  EXPECT_EQ(Fx.TrapLane, Want.Lane) << Where;
+  EXPECT_EQ(Fx.TrapAddress, Want.Address) << Where;
+  EXPECT_EQ(Fx.TrapDetail, Want.Detail) << Where;
+  for (size_t Word = 0; Word < Image.size(); ++Word) {
+    uint32_t After;
+    if (IsShared)
+      std::memcpy(&After, Shared.data() + 4 * Word, 4);
+    else
+      After = GM.load32(static_cast<uint32_t>(4 * Word));
+    ASSERT_EQ(After, Want.Image[Word]) << Where << " memory word " << Word;
+  }
+  for (size_t Cell = 0; Cell < Want.Dest.size(); ++Cell)
+    ASSERT_EQ(W.Regs[DestReg * WarpSize + Cell], Want.Dest[Cell])
+        << Where << " register cell " << Cell;
+  if (Want.Trap != TrapKind::None)
+    return;
+  if (IsShared) {
+    EXPECT_EQ(Fx.SharedSerialization,
+              divisionSerialization(Want.Addrs, Width, M.SharedMemBanks,
+                                    M.SharedMemBankBytes))
+        << Where;
+  } else {
+    std::set<int64_t> Segments;
+    for (int64_t Addr : Want.Addrs)
+      Segments.insert(Addr / 128);
+    EXPECT_EQ(Fx.GlobalTransactions, static_cast<int>(Segments.size()))
+        << Where;
+  }
+}
+
+/// A warp with random data and destination rows and the addresses
+/// \p Addrs (minus \p Imm) in its address row.
+WarpContext warpWithAddresses(Rng &R, uint32_t Mask,
+                              const std::vector<int64_t> &Addrs,
+                              int32_t Imm) {
+  WarpContext W;
+  W.reset(TestRegs);
+  W.ActiveMask = Mask;
+  for (uint32_t &V : W.Regs)
+    V = static_cast<uint32_t>(R.next());
+  for (int L = 0; L < WarpSize; ++L)
+    W.Regs[AddrReg * WarpSize + L] = static_cast<uint32_t>(Addrs[L] - Imm);
+  return W;
+}
+
+std::vector<uint32_t> randomImage(Rng &R) {
+  std::vector<uint32_t> Image(SpaceBytes / 4);
+  for (uint32_t &V : Image)
+    V = static_cast<uint32_t>(R.next());
+  return Image;
+}
+
+} // namespace
+
+/// "LDS.64", "ST.128", ... for failure messages.
+std::string accessName(bool IsShared, bool IsLoad, int Width) {
+  return formatString("%s%s.%d", IsLoad ? "LD" : "ST", IsShared ? "S" : "",
+                      8 * Width);
+}
+
+TEST(ExecutorMemory, WarpAccessesMatchLaneLoop) {
+  Rng R(99);
+  for (const MachineDesc *M : AllMachines)
+    for (MemWidth MW : AllWidths)
+      for (bool IsShared : {true, false})
+        for (bool IsLoad : {true, false})
+          for (int Trial = 0; Trial < 60; ++Trial) {
+            const int Width = memWidthBytes(MW);
+            const int32_t Imm = Trial % 2 == 0 ? 0 : -64;
+            const std::vector<int64_t> Addrs =
+                randomSharedPattern(R, Width, SpaceBytes);
+            const WarpContext W =
+                warpWithAddresses(R, randomMask(R), Addrs, Imm);
+            checkAgainstLaneLoop(
+                *M, W, IsShared, IsLoad, MW, Imm, randomImage(R),
+                formatString("%s %s trial %d", M->Name.c_str(),
+                             accessName(IsShared, IsLoad, Width).c_str(),
+                             Trial));
+          }
+}
+
+namespace {
+
+/// Moves \p NumBad random lanes of \p Mask in \p Addrs to an address that
+/// faults: misaligned, past the end, or (with \p Imm < 0, so that the
+/// address row can hold it) below zero, aligned or not.
+void makeBadLanes(Rng &R, std::vector<int64_t> &Addrs, uint32_t Mask,
+                  int Width, int NumBad, int32_t Imm) {
+  const std::vector<int> Lanes = lanesOf(Mask);
+  for (int Bad = 0; Bad < NumBad; ++Bad) {
+    const int L = Lanes[R.nextBelow(Lanes.size())];
+    switch (R.nextBelow(Imm < 0 ? 3 : 2)) {
+    case 0:
+      Addrs[L] += Width == 4 ? 2 : 4 * R.nextInRange(1, Width / 4 - 1);
+      break;
+    case 1:
+      Addrs[L] = SpaceBytes + Width * R.nextInRange(0, 4);
+      break;
+    default: // -64 <= address < 0.
+      Addrs[L] =
+          -Width * R.nextInRange(1, 64 / Width) + (R.nextBelow(2) ? 0 : 4);
+      break;
+    }
+  }
+}
+
+} // namespace
+
+TEST(ExecutorMemory, FaultingLaneMatchesLaneLoop) {
+  Rng R(5);
+  for (const MachineDesc *M : AllMachines)
+    for (MemWidth MW : AllWidths)
+      for (bool IsShared : {true, false})
+        for (bool IsLoad : {true, false})
+          for (int Trial = 0; Trial < 60; ++Trial) {
+            const int Width = memWidthBytes(MW);
+            // The address row holds address - Imm; with Imm = -64 a row
+            // value below 64 is a negative address.
+            const int32_t Imm = Trial % 2 == 0 ? 0 : -64;
+            std::vector<int64_t> Addrs =
+                randomSharedPattern(R, Width, SpaceBytes);
+            const uint32_t Mask = randomMask(R);
+            makeBadLanes(R, Addrs, Mask, Width, 1 + Trial % 2, Imm);
+            const WarpContext W = warpWithAddresses(R, Mask, Addrs, Imm);
+            checkAgainstLaneLoop(
+                *M, W, IsShared, IsLoad, MW, Imm, randomImage(R),
+                formatString("%s %s trial %d", M->Name.c_str(),
+                             accessName(IsShared, IsLoad, Width).c_str(),
+                             Trial));
+          }
+}

@@ -370,3 +370,76 @@ TEST(OccupancyCurves, ThroughputGrowsWithActiveThreads) {
     Prev = T;
   }
 }
+
+// --- Issue-check order: traps before busy pipes ----------------------------------
+
+namespace {
+
+/// Runs one block of \p Threads threads through \p Code (12 registers
+/// allocated; default notations on Kepler) and returns its trap.
+TrapInfo trapOfBlock(const MachineDesc &M, std::vector<Instruction> Code,
+                     int Threads) {
+  Kernel K;
+  K.Name = "k";
+  K.RegsPerThread = 12;
+  K.Code = std::move(Code);
+  if (M.Generation == GpuGeneration::Kepler)
+    K.addDefaultNotations();
+  GlobalMemory GM;
+  LaunchConfig Config;
+  Config.Dims = LaunchDims{1, 1, Threads, 1};
+  TrapInfo T;
+  EXPECT_FALSE(launchKernel(M, K, Config, GM, &T).hasValue());
+  return T;
+}
+
+/// Three independent FFMAs whose sources R0 and R8 share a register bank:
+/// on Kepler each takes two issue slots, so 16 warps keep the SM-wide
+/// issue pipe busy; on Fermi each holds its scheduler's dispatch port two
+/// cycles.
+std::vector<Instruction> pipeFillingFfmas() {
+  return {makeFFMA(1, 0, 4, 8), makeFFMA(2, 0, 4, 8), makeFFMA(3, 0, 4, 8)};
+}
+
+} // namespace
+
+// A warp at an invalid PC, or at an instruction whose registers do not
+// fit the file, traps when the scheduler reaches it even if the issue
+// pipe (Kepler) or its dispatch port (Fermi) is busy that cycle: the trap
+// checks come before the pipe checks. With the pipe checked first, each
+// of these warps would trap at a later cycle than the pinned one.
+TEST(IssueCheckOrder, TrapsWhileIssuePipeOrPortBusy) {
+  struct Case {
+    const MachineDesc *M;
+    bool BadRegs;
+    int Warp;
+    uint64_t Cycle;
+  };
+  for (const Case &C : {Case{&gtx580(), false, 0, 33},
+                        Case{&gtx580(), true, 0, 33},
+                        Case{&gtx680(), false, 2, 15},
+                        Case{&gtx680(), true, 2, 15}}) {
+    std::vector<Instruction> Code = pipeFillingFfmas();
+    if (C.BadRegs) {
+      Code.push_back(makeFFMA(40, 0, 4, 8));
+      Code.push_back(makeEXIT());
+    }
+    const TrapInfo T = trapOfBlock(*C.M, Code, 512);
+    SCOPED_TRACE(C.M->Name + (C.BadRegs ? " bad registers" : " invalid PC"));
+    EXPECT_EQ(T.Kind, C.BadRegs ? TrapKind::RegisterIndexOOB
+                                : TrapKind::InvalidPC);
+    EXPECT_EQ(T.Cycle, C.Cycle);
+    EXPECT_EQ(T.BlockId, 0);
+    EXPECT_EQ(T.WarpId, C.Warp);
+    EXPECT_EQ(T.PC, 3);
+    EXPECT_EQ(T.LaneMask, 0xffffffffu);
+    EXPECT_EQ(T.Lane, -1);
+    EXPECT_EQ(T.Address, 0u);
+    EXPECT_EQ(T.InstText, C.BadRegs ? "FFMA R40, R0, R4, R8" : "");
+    EXPECT_EQ(T.Detail,
+              C.BadRegs ? "instruction references registers outside the 12 "
+                          "allocated (or a non-architectural predicate)"
+                        : "PC 3 outside the kernel's 3 instructions (bad "
+                          "branch target or missing EXIT)");
+  }
+}
