@@ -19,39 +19,30 @@ using namespace gpuperf;
 
 namespace {
 
-/// Column-major host matrix with zero-initialized padding.
-struct HostMatrix {
-  int Rows = 0, Cols = 0; ///< Padded dimensions; Ld == Rows.
-  std::vector<float> Data;
-
-  HostMatrix(int Rows, int Cols)
-      : Rows(Rows), Cols(Cols),
-        Data(static_cast<size_t>(Rows) * Cols, 0.0f) {}
-
-  float &at(int R, int C) {
-    return Data[static_cast<size_t>(C) * Rows + R];
-  }
-
-  void fillRandom(int TrueRows, int TrueCols, Rng &R) {
-    for (int C = 0; C < TrueCols; ++C)
-      for (int Row = 0; Row < TrueRows; ++Row)
-        at(Row, C) = R.nextUnitFloat();
-  }
-};
-
 uint32_t floatBits(float F) {
   uint32_t U;
   std::memcpy(&U, &F, 4);
   return U;
 }
 
-Expected<uint32_t> uploadMatrix(GlobalMemory &GM, const HostMatrix &M) {
-  auto Addr = GM.tryAllocate(M.Data.size() * 4);
-  if (!Addr)
-    return Addr;
-  for (size_t I = 0; I < M.Data.size(); ++I)
-    GM.storeFloat(static_cast<uint32_t>(*Addr + 4 * I), M.Data[I]);
-  return Addr;
+/// Fills the leading \p Rows x \p Cols of the column-major matrix at
+/// \p Addr (leading dimension \p Ld) from \p R, column by column; the
+/// padding keeps the device image's zeros.
+void fillRandom(GlobalMemory &GM, uint32_t Addr, int Ld, int Rows, int Cols,
+                Rng &R) {
+  for (int C = 0; C < Cols; ++C)
+    for (int Row = 0; Row < Rows; ++Row)
+      GM.storeFloat(
+          static_cast<uint32_t>(Addr + 4 * (static_cast<size_t>(C) * Ld + Row)),
+          R.nextUnitFloat());
+}
+
+std::vector<float> download(const GlobalMemory &GM, uint32_t Addr,
+                            size_t Elems) {
+  std::vector<float> Out(Elems);
+  for (size_t I = 0; I < Elems; ++I)
+    Out[I] = GM.loadFloat(static_cast<uint32_t>(Addr + 4 * I));
+  return Out;
 }
 
 } // namespace
@@ -84,36 +75,41 @@ gpuperf::runSgemmConfig(const MachineDesc &M, SgemmKernelConfig Cfg,
     return ER::error(KernelOrErr.message());
   Kernel K = KernelOrErr.take();
 
-  // Host matrices (padded, zero-filled outside the true region).
-  Rng R(Options.Seed);
-  int ARows = Cfg.Lda, ACols = transA(Cfg.Variant) ? MP : KP;
-  int BRows = Cfg.Ldb, BCols = transB(Cfg.Variant) ? KP : NP;
-  HostMatrix A(ARows, ACols), B(BRows, BCols), C(MP, NP);
-  A.fillRandom(transA(Cfg.Variant) ? Problem.K : Problem.M,
-               transA(Cfg.Variant) ? Problem.M : Problem.K, R);
-  B.fillRandom(transB(Cfg.Variant) ? Problem.N : Problem.K,
-               transB(Cfg.Variant) ? Problem.K : Problem.N, R);
-  if (Problem.Beta != 0.0f)
-    C.fillRandom(Problem.M, Problem.N, R);
-  HostMatrix CInitial = C;
-
-  size_t Bytes =
-      (A.Data.size() + B.Data.size() + C.Data.size()) * 4 + (1 << 16);
-  GlobalMemory GM(Bytes);
-  auto AAddr = uploadMatrix(GM, A);
-  auto BAddr = uploadMatrix(GM, B);
-  auto CAddr = uploadMatrix(GM, C);
-  if (!AAddr || !BAddr || !CAddr)
+  // Padded, column-major A, B and C, zero outside the true region.
+  const bool TA = transA(Cfg.Variant), TB = transB(Cfg.Variant);
+  const size_t Elems[3] = {
+      static_cast<size_t>(Cfg.Lda) * (TA ? MP : KP),
+      static_cast<size_t>(Cfg.Ldb) * (TB ? KP : NP),
+      static_cast<size_t>(MP) * NP};
+  if (!GlobalMemory::fitsFresh({4 * Elems[0], 4 * Elems[1], 4 * Elems[2]}))
     return ER::error(formatString(
-        "matrices do not fit the simulated device: %s",
-        (!AAddr ? AAddr : !BAddr ? BAddr : CAddr).message().c_str()));
+        "matrices do not fit the simulated device: %dx%dx%d padded to "
+        "%dx%dx%d needs more than the 32-bit address space",
+        Problem.M, Problem.N, Problem.K, MP, NP, KP));
+
+  GlobalMemory GM((Elems[0] + Elems[1] + Elems[2]) * 4 + (1 << 16));
+  uint32_t Addr[3];
+  for (int I = 0; I < 3; ++I)
+    Addr[I] = GM.allocate(Elems[I] * 4);
+  Rng R(Options.Seed);
+  fillRandom(GM, Addr[0], Cfg.Lda, TA ? Problem.K : Problem.M,
+             TA ? Problem.M : Problem.K, R);
+  fillRandom(GM, Addr[1], Cfg.Ldb, TB ? Problem.N : Problem.K,
+             TB ? Problem.K : Problem.N, R);
+  if (Problem.Beta != 0.0f)
+    fillRandom(GM, Addr[2], MP, Problem.M, Problem.N, R);
+  // referenceSgemm's inputs, read back before the launch overwrites C.
+  std::vector<float> Host[3];
+  if (Options.Verify)
+    for (int I = 0; I < 3; ++I)
+      Host[I] = download(GM, Addr[I], Elems[I]);
 
   SgemmLaunchShape Shape = sgemmLaunchShape(Cfg);
   LaunchConfig Launch;
   Launch.Dims.GridX = Shape.GridX;
   Launch.Dims.GridY = Shape.GridY;
   Launch.Dims.BlockX = Shape.BlockX;
-  Launch.Params = {*AAddr, *BAddr, *CAddr, floatBits(Problem.Alpha),
+  Launch.Params = {Addr[0], Addr[1], Addr[2], floatBits(Problem.Alpha),
                    floatBits(Problem.Beta)};
   Launch.Mode = Options.Mode;
   Launch.Jobs = Options.Jobs;
@@ -136,14 +132,15 @@ gpuperf::runSgemmConfig(const MachineDesc &M, SgemmKernelConfig Cfg,
       Total ? 100.0 * Result.Launch.Stats.ffmaThreadInsts() / Total : 0;
 
   if (Options.Verify) {
-    referenceSgemm(Cfg.Variant, MP, NP, KP, Problem.Alpha, A.Data.data(),
-                   Cfg.Lda, B.Data.data(), Cfg.Ldb, Problem.Beta,
-                   CInitial.Data.data(), MP);
+    std::vector<float> &Want = Host[2];
+    referenceSgemm(Cfg.Variant, MP, NP, KP, Problem.Alpha, Host[0].data(),
+                   Cfg.Lda, Host[1].data(), Cfg.Ldb, Problem.Beta,
+                   Want.data(), MP);
     double MaxErr = 0;
-    for (size_t I = 0; I < C.Data.size(); ++I) {
-      float Got = GM.loadFloat(static_cast<uint32_t>(*CAddr + 4 * I));
-      MaxErr = std::max(
-          MaxErr, static_cast<double>(std::fabs(Got - CInitial.Data[I])));
+    for (size_t I = 0; I < Want.size(); ++I) {
+      float Got = GM.loadFloat(static_cast<uint32_t>(Addr[2] + 4 * I));
+      MaxErr = std::max(MaxErr,
+                        static_cast<double>(std::fabs(Got - Want[I])));
     }
     Result.MaxAbsError = MaxErr;
     Result.Verified = MaxErr == 0.0;

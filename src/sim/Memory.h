@@ -22,6 +22,7 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <vector>
 
@@ -37,14 +38,27 @@ public:
   /// Allocates \p Bytes aligned to 256 (like cudaMalloc); returns the byte
   /// address, or a recoverable error on 32-bit address-space exhaustion.
   Expected<uint32_t> tryAllocate(size_t Bytes) {
-    size_t Aligned = (Next + 255) & ~size_t(255);
-    if (Aligned + Bytes > (1ull << 32))
+    size_t Aligned = alignAllocation(Next);
+    if (Aligned + Bytes > AddressSpace)
       return Expected<uint32_t>::error(
           "global address space exhausted (32-bit device addressing)");
     Next = Aligned + Bytes;
     if (Next > Data.size())
       Data.resize(Next, 0);
     return static_cast<uint32_t>(Aligned);
+  }
+
+  /// True when allocations of \p Sizes, made in order into a fresh
+  /// memory, would all succeed: a caller can reject a request before it
+  /// constructs (and so zero-fills) the memory.
+  static bool fitsFresh(std::initializer_list<size_t> Sizes) {
+    uint64_t End = FirstAddress;
+    for (size_t Bytes : Sizes) {
+      if (Bytes > AddressSpace) // Also keeps End from wrapping.
+        return false;
+      End = alignAllocation(End) + Bytes;
+    }
+    return End <= AddressSpace;
   }
 
   /// Allocation for callers whose sizes are known small; asserts (and, in
@@ -59,7 +73,7 @@ public:
   }
 
   /// Resets the allocator (contents preserved).
-  void resetAllocator() { Next = 256; }
+  void resetAllocator() { Next = FirstAddress; }
 
   bool inBounds(uint64_t Addr, int Bytes) const {
     return Addr + Bytes <= Data.size();
@@ -100,8 +114,14 @@ public:
   size_t size() const { return Data.size(); }
 
 private:
+  static constexpr size_t FirstAddress = 256; // Keep address 0 invalid-ish.
+  static constexpr uint64_t AddressSpace = 1ull << 32;
+  static uint64_t alignAllocation(uint64_t Addr) {
+    return (Addr + 255) & ~uint64_t(255);
+  }
+
   std::vector<uint8_t> Data;
-  size_t Next = 256; // Keep address 0 invalid-ish.
+  size_t Next = FirstAddress;
 };
 
 /// A word-granular write overlay over a GlobalMemory, the mechanism that

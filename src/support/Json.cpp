@@ -10,6 +10,7 @@
 
 #include <cassert>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -19,6 +20,15 @@ using namespace gpuperf;
 //===----------------------------------------------------------------------===//
 // JsonWriter
 //===----------------------------------------------------------------------===//
+
+namespace {
+
+template <typename Int> void appendInteger(std::string &Out, Int V) {
+  char Buf[24]; // 20 digits of UINT64_MAX, or a sign and 19 of INT64_MIN.
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+}
+
+} // namespace
 
 void JsonWriter::separate() {
   if (AfterKey) {
@@ -44,7 +54,14 @@ void JsonWriter::closeContainer(char C) {
 
 void JsonWriter::appendEscaped(std::string_view S) {
   Out += '"';
-  for (char C : S) {
+  // Bytes that need no escape are appended a run at a time.
+  size_t RunStart = 0;
+  for (size_t I = 0; I < S.size(); ++I) {
+    unsigned char C = static_cast<unsigned char>(S[I]);
+    if (C >= 0x20 && C != '"' && C != '\\')
+      continue;
+    Out.append(S.data() + RunStart, I - RunStart);
+    RunStart = I + 1;
     switch (C) {
     case '"':
       Out += "\\\"";
@@ -61,13 +78,14 @@ void JsonWriter::appendEscaped(std::string_view S) {
     case '\t':
       Out += "\\t";
       break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += formatString("\\u%04x", C);
-      else
-        Out += C;
+    default: {
+      static constexpr char Hex[] = "0123456789abcdef";
+      const char Escape[] = {'\\', 'u', '0', '0', Hex[C >> 4], Hex[C & 15]};
+      Out.append(Escape, sizeof(Escape));
+    }
     }
   }
+  Out.append(S.data() + RunStart, S.size() - RunStart);
   Out += '"';
 }
 
@@ -85,12 +103,12 @@ void JsonWriter::value(std::string_view S) {
 
 void JsonWriter::value(uint64_t V) {
   separate();
-  Out += formatString("%llu", static_cast<unsigned long long>(V));
+  appendInteger(Out, V);
 }
 
 void JsonWriter::value(int64_t V) {
   separate();
-  Out += formatString("%lld", static_cast<long long>(V));
+  appendInteger(Out, V);
 }
 
 void JsonWriter::value(double V, int Decimals) {

@@ -364,6 +364,28 @@ TEST(SgemmStats, ProjectionAgreesWithFullSimulation) {
               0.15 * RFull->Launch.TotalCycles);
 }
 
+TEST(SgemmStats, VerifyChangesNoStatistic) {
+  // Verify snapshots A, B and C from device memory before the launch;
+  // with it on or off the same padded TN problem must simulate the same.
+  SgemmProblem P = problem(GemmVariant::TN, 150, 130, 40, 1.5f, 0.25f);
+  SgemmRunOptions Plain;
+  Plain.Mode = SimMode::Full;
+  SgemmRunOptions Checked = Plain;
+  Checked.Verify = true;
+  for (const MachineDesc *M : {&gtx580(), &gtx680()}) {
+    auto A = runSgemm(*M, SgemmImpl::AsmTuned, P, Plain);
+    auto B = runSgemm(*M, SgemmImpl::AsmTuned, P, Checked);
+    ASSERT_TRUE(A.hasValue()) << A.message();
+    ASSERT_TRUE(B.hasValue()) << B.message();
+    EXPECT_TRUE(B->Verified) << M->Name;
+    EXPECT_FALSE(A->Verified) << M->Name;
+    EXPECT_EQ(A->Launch.TotalCycles, B->Launch.TotalCycles) << M->Name;
+    EXPECT_TRUE(A->Launch.Stats.Breakdown == B->Launch.Stats.Breakdown)
+        << M->Name;
+    EXPECT_EQ(A->Gflops, B->Gflops) << M->Name;
+  }
+}
+
 TEST(SgemmStats, PerformanceScalesWithMatrixSize) {
   // Bigger matrices amortize the prologue: GFLOPS must rise.
   SgemmRunOptions O;
@@ -410,6 +432,20 @@ TEST(SgemmErrors, VerifyRequiresFullSimulation) {
   auto R = runSgemm(gtx580(), SgemmImpl::AsmTuned,
                     problem(GemmVariant::NN, 96, 96, 16), O);
   EXPECT_FALSE(R.hasValue());
+}
+
+TEST(SgemmErrors, RejectsOversizedShapeBeforeAllocating) {
+  // Three padded 20000x20000 matrices need ~4.8 GB, past the 32-bit
+  // device space. The shape is rejected before any matrix memory is
+  // allocated (the image alone would be that large).
+  SgemmRunOptions O;
+  O.Mode = SimMode::ProjectOneWave;
+  auto R = runSgemm(gtx580(), SgemmImpl::AsmTuned,
+                    problem(GemmVariant::NN, 20000, 20000, 20000), O);
+  ASSERT_FALSE(R.hasValue());
+  EXPECT_NE(R.message().find("matrices do not fit the simulated device"),
+            std::string::npos)
+      << R.message();
 }
 
 TEST(SgemmErrors, RejectsEmptyProblem) {

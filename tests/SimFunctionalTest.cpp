@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 using namespace gpuperf;
 
@@ -389,6 +390,25 @@ TEST(SimFaults, UnlaunchableOccupancy) {
                    LaunchDims{1, 1, 1025, 1}, {}, GM);
   ASSERT_FALSE(R.hasValue());
   EXPECT_NE(R.message().find("not launchable"), std::string::npos);
+}
+
+TEST(SimFaults, FitsFreshAgreesWithTryAllocate) {
+  // Allocations start at 256 and are 256-aligned; the 32-bit space ends
+  // at 4 GiB. fitsFresh must draw the same line tryAllocate does, without
+  // allocating (only the failing side is checked through tryAllocate,
+  // which would otherwise grow the image to gigabytes).
+  const size_t Space = size_t(1) << 32;
+  EXPECT_TRUE(GlobalMemory::fitsFresh({}));
+  EXPECT_TRUE(GlobalMemory::fitsFresh({Space - 256}));
+  EXPECT_FALSE(GlobalMemory::fitsFresh({Space - 255}));
+  EXPECT_TRUE(GlobalMemory::fitsFresh({1, Space - 512}));
+  EXPECT_FALSE(GlobalMemory::fitsFresh({1, Space - 511}));
+  EXPECT_FALSE(GlobalMemory::fitsFresh({SIZE_MAX / 2, SIZE_MAX / 2 + 1024}))
+      << "the running end must not wrap";
+  GlobalMemory OneByte(0);
+  ASSERT_TRUE(OneByte.tryAllocate(1).hasValue());
+  EXPECT_FALSE(OneByte.tryAllocate(Space - 511).hasValue());
+  EXPECT_FALSE(GlobalMemory(0).tryAllocate(Space - 255).hasValue());
 }
 
 // --- Launch accounting ------------------------------------------------------------

@@ -18,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <thread>
@@ -415,6 +417,102 @@ TEST(Json, WriterEscapesEveryControlCharacter) {
     EXPECT_EQ(W.str().find(static_cast<char>(C)), std::string::npos)
         << "raw control byte 0x" << std::hex << C << " leaked";
   }
+}
+
+/// The writer's bytes for one string value.
+static std::string jsonString(std::string_view S) {
+  JsonWriter W;
+  W.value(S);
+  return W.take();
+}
+
+TEST(Json, WriterControlEscapesAreExact) {
+  // \n, \r and \t take their short forms; every other control byte is
+  // \u00xx with lowercase hex (so \b and \f are \u0008 and \u000c).
+  for (int C = 0; C < 0x20; ++C) {
+    std::string Want;
+    if (C == '\n')
+      Want = "\\n";
+    else if (C == '\r')
+      Want = "\\r";
+    else if (C == '\t')
+      Want = "\\t";
+    else
+      Want = formatString("\\u%04x", C);
+    EXPECT_EQ(jsonString(std::string(1, static_cast<char>(C))),
+              "\"" + Want + "\"")
+        << "control 0x" << std::hex << C;
+  }
+  EXPECT_EQ(jsonString(std::string("\0\b\f\x1f", 4)),
+            R"("\u0000\u0008\u000c\u001f")");
+  EXPECT_EQ(jsonString("\x1b[0m"), R"("\u001b[0m")");
+  EXPECT_EQ(jsonString("a\x7f\xc3\xa9"), "\"a\x7f\xc3\xa9\"");
+}
+
+TEST(Json, WriterEscapesAtRunBoundaries) {
+  // Escapes at the start, middle and end of a run of plain bytes, back
+  // to back, and alone.
+  EXPECT_EQ(jsonString(""), R"("")");
+  EXPECT_EQ(jsonString(R"(")"), R"("\"")");
+  EXPECT_EQ(jsonString(R"(\)"), R"("\\")");
+  EXPECT_EQ(jsonString(R"("ab)"), R"("\"ab")");
+  EXPECT_EQ(jsonString(R"(a"b)"), R"("a\"b")");
+  EXPECT_EQ(jsonString(R"(ab")"), R"("ab\"")");
+  EXPECT_EQ(jsonString(R"(\ab)"), R"("\\ab")");
+  EXPECT_EQ(jsonString(R"(a\b)"), R"("a\\b")");
+  EXPECT_EQ(jsonString(R"(ab\)"), R"("ab\\")");
+  EXPECT_EQ(jsonString(R"("\"\)"), R"("\"\\\"\\")");
+  EXPECT_EQ(jsonString("plain"), R"("plain")");
+}
+
+TEST(Json, WriterIntegerBytesMatchPrintf) {
+  auto Printed = [](const char *Fmt, auto V) {
+    char Buf[32];
+    std::snprintf(Buf, sizeof(Buf), Fmt, V);
+    return std::string(Buf);
+  };
+  auto Signed = [](int64_t V) {
+    JsonWriter W;
+    W.value(V);
+    return W.take();
+  };
+  auto Unsigned = [](uint64_t V) {
+    JsonWriter W;
+    W.value(V);
+    return W.take();
+  };
+  for (int64_t V : {int64_t(0), int64_t(-1), int64_t(7), int64_t(-10),
+                    INT64_MIN, INT64_MAX})
+    EXPECT_EQ(Signed(V), Printed("%lld", static_cast<long long>(V)));
+  for (uint64_t V : {uint64_t(0), uint64_t(1), uint64_t(10),
+                     uint64_t(INT64_MAX) + 1, UINT64_MAX})
+    EXPECT_EQ(Unsigned(V),
+              Printed("%llu", static_cast<unsigned long long>(V)));
+  // The int and unsigned overloads, inside an array.
+  JsonWriter W;
+  W.beginArray();
+  W.value(-2147483647 - 1);
+  W.value(4294967295u);
+  W.endArray();
+  EXPECT_EQ(W.str(), "[-2147483648,4294967295]");
+}
+
+TEST(Json, WriterRoundTripsEveryAsciiByte) {
+  // jsonParse(JsonWriter output) gives back each byte 0x00..0x7f, alone
+  // and all in one string.
+  std::string All;
+  for (int C = 0; C < 0x80; ++C) {
+    std::string One(1, static_cast<char>(C));
+    All += One;
+    auto V = jsonParse(jsonString(One));
+    ASSERT_TRUE(V.hasValue()) << "byte 0x" << std::hex << C << ": "
+                              << V.message();
+    ASSERT_TRUE(V->isString());
+    EXPECT_EQ(V->Str, One) << "byte 0x" << std::hex << C;
+  }
+  auto V = jsonParse(jsonString(All));
+  ASSERT_TRUE(V.hasValue()) << V.message();
+  EXPECT_EQ(V->Str, All);
 }
 
 TEST(Json, WriterEscapesQuoteAndBackslash) {
