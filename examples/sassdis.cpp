@@ -19,7 +19,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 
 using namespace gpuperf;
 
@@ -49,25 +48,18 @@ int main(int Argc, char **Argv) {
   Module Mod;
   Mod.Arch = M->Generation;
   Mod.Kernels.push_back(*K);
-  std::vector<uint8_t> Bytes = Mod.serialize();
-  {
-    std::ofstream Out(Path, std::ios::binary);
-    Out.write(reinterpret_cast<const char *>(Bytes.data()),
-              static_cast<std::streamsize>(Bytes.size()));
+  if (Status S = Mod.writeToFile(Path); S.failed()) {
+    std::fprintf(stderr, "write failed: %s\n", S.message().c_str());
+    return 1;
   }
-  std::printf("wrote %zu-byte module to %s (%s)\n", Bytes.size(), Path,
+  std::printf("wrote %zu-byte module to %s (%s)\n", Mod.serialize().size(),
+              Path,
               M->Generation == GpuGeneration::Kepler
                   ? "with interleaved control-notation words"
                   : "no control words on Fermi");
 
   // Load it back and analyze, as one would a foreign binary.
-  std::vector<uint8_t> Loaded;
-  {
-    std::ifstream In(Path, std::ios::binary);
-    Loaded.assign(std::istreambuf_iterator<char>(In),
-                  std::istreambuf_iterator<char>());
-  }
-  auto Back = Module::deserialize(Loaded);
+  auto Back = Module::readFromFile(Path);
   if (!Back) {
     std::fprintf(stderr, "load failed: %s\n", Back.message().c_str());
     return 1;

@@ -7,6 +7,7 @@
 #include "isa/Module.h"
 
 #include "isa/Encoding.h"
+#include "support/FileIO.h"
 #include "support/Format.h"
 #include "support/LittleEndian.h"
 
@@ -99,13 +100,10 @@ Status Module::writeToFile(const std::string &Path) const {
 }
 
 Expected<Module> Module::readFromFile(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return Expected<Module>::error(
-        formatString("cannot open %s", Path.c_str()));
-  std::vector<uint8_t> Bytes(std::istreambuf_iterator<char>(In),
-                             std::istreambuf_iterator<char>{});
-  return deserialize(Bytes);
+  auto Bytes = readFileBytes(Path);
+  if (!Bytes)
+    return Bytes.takeStatus();
+  return deserialize(*Bytes);
 }
 
 Expected<Module> Module::deserialize(const std::vector<uint8_t> &Bytes) {

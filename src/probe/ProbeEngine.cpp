@@ -30,13 +30,8 @@ int64_t ProbeEventRecord::get(ProbeField F) const {
 
 ProbeEngine::ProbeEngine(std::vector<ProbeSpec> S) : Specs(std::move(S)) {
   States.resize(Specs.size());
-  for (const ProbeSpec &P : Specs) {
+  for (const ProbeSpec &P : Specs)
     Wanted[static_cast<size_t>(P.Event)] = true;
-    // PCReached rides InstIssued records: firing sites only ever check
-    // wants(InstIssued).
-    if (P.Event == ProbeEvent::PCReached)
-      Wanted[static_cast<size_t>(ProbeEvent::InstIssued)] = true;
-  }
 }
 
 namespace {
@@ -125,9 +120,7 @@ int64_t foldInput(const ProbeSpec &S, const ProbeEventRecord &R) {
 void ProbeEngine::fire(ProbeEvent E, const ProbeEventRecord &R) {
   for (size_t I = 0; I < Specs.size(); ++I) {
     const ProbeSpec &S = Specs[I];
-    bool Listens = S.Event == E || (S.Event == ProbeEvent::PCReached &&
-                                    E == ProbeEvent::InstIssued);
-    if (!Listens)
+    if (S.Event != E)
       continue;
     bool Pass = true;
     for (const ProbeFilter &F : S.Filters)

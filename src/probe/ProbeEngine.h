@@ -96,16 +96,14 @@ public:
 
   /// True when the engine has any probes.
   bool enabled() const { return !Specs.empty(); }
-  /// True when some spec listens to \p E (InstIssued also for PCReached).
+  /// True when some spec listens to \p E.
   bool wants(ProbeEvent E) const {
     return Wanted[static_cast<size_t>(E)];
   }
 
   /// Folds one event into every spec that listens to \p E and passes its
-  /// filters. InstIssued events additionally feed PCReached specs (the
-  /// alias exists purely for watchpoint-flavoured spec phrasing). \p R's
-  /// Cycle is used as given: the observer set has already shifted it
-  /// onto the SM launch timeline.
+  /// filters. \p R's Cycle is used as given: the observer set has
+  /// already shifted it onto the SM launch timeline.
   void fire(ProbeEvent E, const ProbeEventRecord &R);
 
   /// A fresh engine with the same specs and zeroed state -- the per-SM

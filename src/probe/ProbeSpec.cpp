@@ -12,10 +12,8 @@
 // not the other way around).
 #include "sim/Stats.h"
 #include "support/Args.h"
+#include "support/FileIO.h"
 #include "support/Format.h"
-
-#include <fstream>
-#include <sstream>
 
 using namespace gpuperf;
 
@@ -27,8 +25,6 @@ const char *gpuperf::probeEventName(ProbeEvent E) {
   switch (E) {
   case ProbeEvent::InstIssued:
     return "inst_issued";
-  case ProbeEvent::PCReached:
-    return "pc_reached";
   case ProbeEvent::MemAccess:
     return "mem_access";
   case ProbeEvent::Replay:
@@ -125,7 +121,6 @@ constexpr size_t NumOpClassNames =
 uint32_t gpuperf::probeEventFields(ProbeEvent E) {
   switch (E) {
   case ProbeEvent::InstIssued:
-  case ProbeEvent::PCReached:
     return IssueFields;
   case ProbeEvent::MemAccess:
     return IssueFields | fieldBit(ProbeField::Space) |
@@ -608,11 +603,11 @@ gpuperf::parseProbeSpecs(std::string_view Text, std::string_view FileName) {
 
 Expected<std::vector<ProbeSpec>>
 gpuperf::loadProbeSpecFile(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return Expected<std::vector<ProbeSpec>>::error(
-        formatString("cannot read probe spec file '%s'", Path.c_str()));
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  return parseProbeSpecs(SS.str(), Path);
+  auto Bytes = readFileBytes(Path);
+  if (!Bytes)
+    return Status::error("probe spec file: " + Bytes.message());
+  return parseProbeSpecs(
+      std::string_view(reinterpret_cast<const char *>(Bytes->data()),
+                       Bytes->size()),
+      Path);
 }

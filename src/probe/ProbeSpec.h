@@ -61,8 +61,6 @@ namespace gpuperf {
 /// (sim/Observers.h).
 enum class ProbeEvent : uint8_t {
   InstIssued,     ///< A warp instruction issued (dual-issue seconds too).
-  PCReached,      ///< Alias view of InstIssued for watchpoint phrasing:
-                  ///< "when did PC 42 first execute".
   MemAccess,      ///< A shared or global memory instruction issued.
   Replay,         ///< A Kepler mis-hint replay penalty was charged.
   BankConflict,   ///< A shared access serialized beyond the allowance.
@@ -72,7 +70,7 @@ enum class ProbeEvent : uint8_t {
   BlockDrained,   ///< The last live warp of a block exited.
   WarpExit,       ///< A warp executed EXIT.
 };
-inline constexpr size_t NumProbeEvents = 9;
+inline constexpr size_t NumProbeEvents = 8;
 
 /// Integer-valued fields of a fired event. Which fields an event carries
 /// is event-specific (probeEventFields); referencing a field the event

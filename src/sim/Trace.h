@@ -127,7 +127,7 @@ struct SimTrace {
 
 /// Writes \p Trace as Chrome trace_event JSON ("ts" in simulated cycles;
 /// pid = SM, tid = warp slot or scheduler track) to \p Path. The file
-/// parses with jsonValidate and loads in chrome://tracing / Perfetto.
+/// parses with jsonParse and loads in chrome://tracing / Perfetto.
 Status writeChromeTrace(const SimTrace &Trace, const MachineDesc &M,
                         const std::string &Path);
 

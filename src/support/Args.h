@@ -100,26 +100,6 @@ inline unsigned long long flagUnsigned(const char *Tool, const char *Flag,
   return *V;
 }
 
-/// Parses \p Text as a finite double in [\p Min, \p Max] with the same
-/// strictness as parseInteger: full-string consumption and an explicit
-/// range check (rejects nan/inf, which compare false against any
-/// range). Tolerance fractions and similar CLI values go through this.
-inline Expected<double> parseDouble(const char *Text, double Min,
-                                    double Max) {
-  using Result = Expected<double>;
-  if (!Text || !*Text)
-    return Result::error("expected a number, got an empty string");
-  errno = 0;
-  char *End = nullptr;
-  double V = std::strtod(Text, &End);
-  if (End == Text || *End != '\0')
-    return Result::error(formatString("'%s' is not a number", Text));
-  if (errno == ERANGE || !(V >= Min && V <= Max))
-    return Result::error(formatString(
-        "'%s' is out of range [%g, %g]", Text, Min, Max));
-  return V;
-}
-
 /// Parses \p Text against a fixed set of spelled-out choices and returns
 /// the index of the match within \p Choices. Enumerated flags
 /// ("--notation tuned", "--schedule list") go through this instead of

@@ -8,12 +8,13 @@
 
 #include "support/Format.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace gpuperf;
@@ -43,12 +44,39 @@ void gpuperf::setDurableWriteCrashPointForTesting(int Point) {
 
 Expected<std::vector<uint8_t>>
 gpuperf::readFileBytes(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return Expected<std::vector<uint8_t>>::error("cannot open '" + Path +
-                                                 "'");
-  std::vector<uint8_t> Bytes((std::istreambuf_iterator<char>(In)),
-                             std::istreambuf_iterator<char>());
+  using Result = Expected<std::vector<uint8_t>>;
+  int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
+    return Result::error(formatString("cannot open '%s': %s", Path.c_str(),
+                                      std::strerror(errno)));
+  // Sized from fstat so a regular file arrives in one read; the buffer
+  // still grows for a file whose size fstat does not know (a pipe) or
+  // that grows while it is read. The spare byte lets the first read
+  // already see the end of the file.
+  struct stat St;
+  size_t Expect = ::fstat(Fd, &St) == 0 && St.st_size > 0
+                      ? static_cast<size_t>(St.st_size)
+                      : 0;
+  std::vector<uint8_t> Bytes(std::max<size_t>(Expect + 1, 4096));
+  size_t Done = 0;
+  for (;;) {
+    if (Done == Bytes.size())
+      Bytes.resize(2 * Bytes.size());
+    ssize_t N = ::read(Fd, Bytes.data() + Done, Bytes.size() - Done);
+    if (N == 0)
+      break;
+    if (N < 0) {
+      if (errno == EINTR)
+        continue;
+      int Err = errno;
+      ::close(Fd);
+      return Result::error(formatString("cannot read '%s': %s",
+                                        Path.c_str(), std::strerror(Err)));
+    }
+    Done += static_cast<size_t>(N);
+  }
+  ::close(Fd);
+  Bytes.resize(Done);
   return Bytes;
 }
 

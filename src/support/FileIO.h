@@ -10,10 +10,14 @@
 /// rename + directory fsync), and directory syncs after metadata
 /// operations -- plus the one plain in-place writer every tool and
 /// bench output (profile, probe, trace and metrics records) goes
-/// through. Centralizing them here gives every caller the same crash
-/// semantics and gives the test suite one place to inject torn writes
-/// and crash points -- the I/O analog of sim/FaultInjector's "any input
-/// either works or fails structurally, never silently corrupts" stance.
+/// through. readFileBytes is also the one reader every loader goes
+/// through (modules, probe specs, perf records, assembly, GPDB and the
+/// FrameLog journals), so each reports an unreadable input the same way
+/// and none can abort on one. Centralizing them here gives every caller
+/// the same crash semantics and gives the test suite one place to
+/// inject torn writes and crash points -- the I/O analog of
+/// sim/FaultInjector's "any input either works or fails structurally,
+/// never silently corrupts" stance.
 ///
 /// Crash model. writeFileDurable guarantees that after a power loss or
 /// SIGKILL at *any* instruction, the target path holds either the
@@ -39,8 +43,13 @@
 
 namespace gpuperf {
 
-/// Reads the entire file at \p Path. Fails if the file cannot be opened
-/// or read; an empty file yields an empty vector.
+/// Reads the entire file at \p Path; an empty file yields an empty
+/// vector. Never throws: when the open or a read fails (a missing file,
+/// a directory, an I/O error) it returns an error naming the path and
+/// the system's reason, e.g. "cannot read 'DIR': Is a directory". A
+/// failed read returns no bytes at all, never the prefix read before
+/// the failure, so a caller cannot mistake it for a short file. Callers
+/// that report the error prefix their own context.
 Expected<std::vector<uint8_t>> readFileBytes(const std::string &Path);
 
 /// Durably and atomically replaces \p Path with \p Size bytes of

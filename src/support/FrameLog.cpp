@@ -38,7 +38,7 @@ size_t FrameLog::replay(const DecodeFn &Decode) const {
 size_t FrameLog::replay(const DecodeFn &Decode, size_t &FileBytes) const {
   auto File = readFileBytes(Path);
   if (!File)
-    return 0; // Missing log: the normal cold state.
+    return 0; // Missing (the normal cold state) or unreadable: no records.
   FileBytes = File->size();
   ByteReader R(*File);
   uint32_t FileMagic = 0, FileVersion = 0;

@@ -56,12 +56,15 @@ public:
   using DecodeFn = std::function<bool(const uint8_t *Payload, size_t Size)>;
 
   /// Hands every intact frame to \p Decode in file order and returns the
-  /// length of the valid prefix: 0 when the file is missing or its header
-  /// is unusable, else the header plus every accepted frame.
+  /// length of the valid prefix: 0 when the file is missing, cannot be
+  /// read or has an unusable header, else the header plus every accepted
+  /// frame.
   size_t replay(const DecodeFn &Decode) const;
 
   /// replay(), then truncates the file to its valid prefix so later
   /// appends extend clean frames instead of burying them behind garbage.
+  /// A file that cannot be read is left as it is: a read error is not a
+  /// torn tail.
   void recover(const DecodeFn &Decode);
 
   /// Durably appends one frame holding \p Payload and returns the file
@@ -74,7 +77,8 @@ public:
   void clear();
 
 private:
-  /// replay(), also reporting the file's size (0 when missing).
+  /// replay(), also reporting the file's size (0 when missing or
+  /// unreadable).
   size_t replay(const DecodeFn &Decode, size_t &FileBytes) const;
 
   std::string Path;

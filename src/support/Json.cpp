@@ -1,4 +1,4 @@
-//===- support/Json.cpp - minimal JSON emission and validation ------------===//
+//===- support/Json.cpp - minimal JSON emission and parsing ---------------===//
 //
 // Part of the gpuperf project: reproduction of Lai & Seznec, CGO 2013.
 //
@@ -13,7 +13,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 
 using namespace gpuperf;
 
@@ -127,219 +126,12 @@ void JsonWriter::value(bool B) {
 }
 
 //===----------------------------------------------------------------------===//
-// jsonValidate: strict recursive-descent checker
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-class Validator {
-public:
-  explicit Validator(std::string_view Text) : Text(Text) {}
-
-  bool run(std::string *ErrorOut) {
-    bool Ok = skipWs() && parseValue() && atEndAfterWs();
-    if (!Ok && ErrorOut)
-      *ErrorOut = formatString("invalid JSON at byte %zu: %s", Pos,
-                               Error.empty() ? "malformed value"
-                                             : Error.c_str());
-    return Ok;
-  }
-
-private:
-  bool fail(const char *What) {
-    if (Error.empty())
-      Error = What;
-    return false;
-  }
-
-  bool skipWs() {
-    while (Pos < Text.size() &&
-           (Text[Pos] == ' ' || Text[Pos] == '\t' || Text[Pos] == '\n' ||
-            Text[Pos] == '\r'))
-      ++Pos;
-    return true;
-  }
-
-  bool atEndAfterWs() {
-    skipWs();
-    return Pos == Text.size() || fail("trailing bytes after value");
-  }
-
-  bool consume(char C) {
-    if (Pos < Text.size() && Text[Pos] == C) {
-      ++Pos;
-      return true;
-    }
-    return false;
-  }
-
-  bool parseValue() {
-    if (++Depth > MaxDepth)
-      return fail("nesting too deep");
-    skipWs();
-    if (Pos >= Text.size())
-      return fail("unexpected end of input");
-    bool Ok;
-    switch (Text[Pos]) {
-    case '{':
-      Ok = parseObject();
-      break;
-    case '[':
-      Ok = parseArray();
-      break;
-    case '"':
-      Ok = parseString();
-      break;
-    case 't':
-      Ok = parseLiteral("true");
-      break;
-    case 'f':
-      Ok = parseLiteral("false");
-      break;
-    case 'n':
-      Ok = parseLiteral("null");
-      break;
-    default:
-      Ok = parseNumber();
-    }
-    --Depth;
-    return Ok;
-  }
-
-  bool parseLiteral(std::string_view Lit) {
-    if (Text.substr(Pos, Lit.size()) != Lit)
-      return fail("bad literal");
-    Pos += Lit.size();
-    return true;
-  }
-
-  bool parseObject() {
-    ++Pos; // '{'
-    skipWs();
-    if (consume('}'))
-      return true;
-    while (true) {
-      skipWs();
-      if (Pos >= Text.size() || Text[Pos] != '"')
-        return fail("object key must be a string");
-      if (!parseString())
-        return false;
-      skipWs();
-      if (!consume(':'))
-        return fail("missing ':' after object key");
-      if (!parseValue())
-        return false;
-      skipWs();
-      if (consume('}'))
-        return true;
-      if (!consume(','))
-        return fail("missing ',' or '}' in object");
-    }
-  }
-
-  bool parseArray() {
-    ++Pos; // '['
-    skipWs();
-    if (consume(']'))
-      return true;
-    while (true) {
-      if (!parseValue())
-        return false;
-      skipWs();
-      if (consume(']'))
-        return true;
-      if (!consume(','))
-        return fail("missing ',' or ']' in array");
-    }
-  }
-
-  bool parseString() {
-    ++Pos; // '"'
-    while (Pos < Text.size()) {
-      char C = Text[Pos];
-      if (C == '"') {
-        ++Pos;
-        return true;
-      }
-      if (static_cast<unsigned char>(C) < 0x20)
-        return fail("unescaped control character in string");
-      if (C == '\\') {
-        ++Pos;
-        if (Pos >= Text.size())
-          return fail("truncated escape");
-        char E = Text[Pos];
-        if (E == 'u') {
-          for (int I = 1; I <= 4; ++I)
-            if (Pos + I >= Text.size() || !std::isxdigit(static_cast<
-                    unsigned char>(Text[Pos + I])))
-              return fail("bad \\u escape");
-          Pos += 4;
-        } else if (!std::strchr("\"\\/bfnrt", E)) {
-          return fail("bad escape character");
-        }
-      }
-      ++Pos;
-    }
-    return fail("unterminated string");
-  }
-
-  bool parseNumber() {
-    size_t Start = Pos;
-    consume('-');
-    if (consume('0')) {
-      // No leading zeros.
-    } else {
-      if (Pos >= Text.size() || !std::isdigit(static_cast<unsigned char>(
-                                    Text[Pos])))
-        return fail("malformed number");
-      while (Pos < Text.size() &&
-             std::isdigit(static_cast<unsigned char>(Text[Pos])))
-        ++Pos;
-    }
-    if (consume('.')) {
-      if (Pos >= Text.size() || !std::isdigit(static_cast<unsigned char>(
-                                    Text[Pos])))
-        return fail("digits required after decimal point");
-      while (Pos < Text.size() &&
-             std::isdigit(static_cast<unsigned char>(Text[Pos])))
-        ++Pos;
-    }
-    if (Pos < Text.size() && (Text[Pos] == 'e' || Text[Pos] == 'E')) {
-      ++Pos;
-      if (Pos < Text.size() && (Text[Pos] == '+' || Text[Pos] == '-'))
-        ++Pos;
-      if (Pos >= Text.size() || !std::isdigit(static_cast<unsigned char>(
-                                    Text[Pos])))
-        return fail("digits required in exponent");
-      while (Pos < Text.size() &&
-             std::isdigit(static_cast<unsigned char>(Text[Pos])))
-        ++Pos;
-    }
-    return Pos > Start + (Text[Start] == '-' ? 1u : 0u) ||
-           fail("malformed number");
-  }
-
-  static constexpr int MaxDepth = 256;
-  std::string_view Text;
-  size_t Pos = 0;
-  int Depth = 0;
-  std::string Error;
-};
-
-} // namespace
-
-bool gpuperf::jsonValidate(std::string_view Text, std::string *ErrorOut) {
-  return Validator(Text).run(ErrorOut);
-}
-
-//===----------------------------------------------------------------------===//
 // jsonParse: strict recursive-descent tree parser
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Shares the Validator's grammar but builds a JsonValue tree and decodes
-/// string escapes. Kept separate so jsonValidate stays allocation-free.
+/// Builds a JsonValue tree and decodes string escapes.
 class Parser {
 public:
   explicit Parser(std::string_view Text) : Text(Text) {}

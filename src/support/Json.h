@@ -1,4 +1,4 @@
-//===- support/Json.h - minimal JSON emission and validation ----*- C++ -*-===//
+//===- support/Json.h - minimal JSON emission and parsing -------*- C++ -*-===//
 //
 // Part of the gpuperf project: reproduction of Lai & Seznec, CGO 2013.
 //
@@ -6,11 +6,10 @@
 ///
 /// \file
 /// A small streaming JSON writer (objects, arrays, scalars, correct
-/// string escaping) and a strict validating parser. The writer backs the
-/// Chrome trace_event emitter and the bench metrics records; the
-/// validator backs the trace_smoke test and any consumer that wants to
-/// assert a produced file is structurally sound without pulling in a
-/// JSON library dependency.
+/// string escaping) and the one strict JSON reader, jsonParse. The
+/// writer backs the Chrome trace_event emitter and the bench metrics
+/// records; the reader backs perfdiff and every test that checks a
+/// produced document, without a JSON library dependency.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,13 +73,6 @@ private:
   bool AfterKey = false;
 };
 
-/// Strictly validates that \p Text is one complete JSON value (RFC 8259
-/// grammar: objects, arrays, strings with escapes, numbers, true/false/
-/// null) with nothing but whitespace after it. On failure, *ErrorOut (when
-/// non-null) receives a message naming the byte offset and the check that
-/// fired.
-bool jsonValidate(std::string_view Text, std::string *ErrorOut = nullptr);
-
 /// A parsed JSON value (see jsonParse). Small tree representation:
 /// object members keep source order (and may repeat keys; find returns
 /// the first), numbers are doubles -- integers up to 2^53 round-trip
@@ -112,9 +104,12 @@ struct JsonValue {
   }
 };
 
-/// Parses one complete JSON value under the same strict grammar as
-/// jsonValidate, decoding string escapes (\uXXXX including surrogate
-/// pairs becomes UTF-8). Fails with a message naming the byte offset.
+/// Parses \p Text as one complete JSON value (RFC 8259 grammar: objects,
+/// arrays, strings with escapes, numbers, true/false/null, nested at
+/// most 256 deep) with nothing but whitespace after it. String escapes
+/// are decoded: \uXXXX becomes UTF-8, and a surrogate must come as a
+/// high-low pair. Fails with a message naming the byte offset and the
+/// check that fired.
 Expected<JsonValue> jsonParse(std::string_view Text);
 
 } // namespace gpuperf

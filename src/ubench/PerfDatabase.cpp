@@ -79,7 +79,7 @@ parseCacheFile(const std::string &Path) {
   using Result = Expected<std::map<std::string, double>>;
   auto File = readFileBytes(Path);
   if (!File)
-    return Result::error("cannot open perf cache '" + Path + "'");
+    return Result::error("perf cache: " + File.message());
 
   ByteReader R(*File);
   uint32_t Magic = 0, Version = 0, Count = 0;

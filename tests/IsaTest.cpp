@@ -326,6 +326,16 @@ TEST(Module, DeserializeRejectsTrailingGarbage) {
   EXPECT_FALSE(Module::deserialize(Bytes).hasValue());
 }
 
+TEST(Module, ReadFromFileReportsAnUnreadablePath) {
+  std::string Dir = ::testing::TempDir();
+  auto FromDir = Module::readFromFile(Dir);
+  ASSERT_FALSE(FromDir.hasValue());
+  EXPECT_NE(FromDir.message().find(Dir), std::string::npos)
+      << FromDir.message();
+  EXPECT_NE(FromDir.message().find("Is a directory"), std::string::npos)
+      << FromDir.message();
+}
+
 TEST(Module, FindKernel) {
   Module M;
   M.Kernels.push_back(tinyKernel("x"));

@@ -67,7 +67,7 @@ const char *ObserveSpecText =
     "probe blocks { event block_scheduled; aggregation count }\n"
     "probe drains { event block_drained; aggregation count }\n"
     "probe warp_work { event warp_exit; aggregation sum; value insts }\n"
-    "probe last_pc0 { event pc_reached; aggregation max; value cycle; "
+    "probe last_pc0 { event inst_issued; aggregation max; value cycle; "
     "filter pc == 0 }\n";
 
 /// Runs the tuned NN kernel on a 192x192x64 problem (a multi-SM,

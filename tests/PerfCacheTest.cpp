@@ -22,6 +22,7 @@
 #include <fstream>
 #include <vector>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace gpuperf;
@@ -192,6 +193,27 @@ TEST_F(PerfCache, FailedSaveLeavesPreviousCacheIntact) {
       << "acknowledged measurements must survive a failed snapshot save";
   std::ifstream Tmp(Path + ".tmp." + std::to_string(getpid()));
   EXPECT_FALSE(Tmp.good()) << "failed save must remove its temporary";
+}
+
+TEST_F(PerfCache, UnreadableCachePathMeasuresAndWarnsOnSave) {
+  // A directory where the snapshot should be is a cold cache: the
+  // measurement is served, and the exit save fails with a warning
+  // instead of aborting.
+  const MachineDesc &M = gtx680();
+  Kernel K = smallKernel(M, 4);
+  double Want = PerfDatabase(M, "").measureKernel(K, smallConfig());
+  ASSERT_EQ(::mkdir(Path.c_str(), 0755), 0);
+  testing::internal::CaptureStderr();
+  {
+    PerfDatabase DB(M, Path);
+    Status Load = DB.load(Path);
+    ASSERT_TRUE(Load.failed());
+    EXPECT_NE(Load.message().find("Is a directory"), std::string::npos)
+        << Load.message();
+    EXPECT_EQ(DB.measureKernel(K, smallConfig()), Want);
+  }
+  std::string Err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(Err.find("warning:"), std::string::npos) << Err;
 }
 
 //===----------------------------------------------------------------------===//

@@ -28,6 +28,7 @@
 
 #include "support/Crc32.h"
 #include "support/FileIO.h"
+#include "support/FrameLog.h"
 #include "support/Format.h"
 #include "ubench/PerfDatabase.h"
 #include "ubench/SweepCheckpoint.h"
@@ -310,6 +311,25 @@ TEST_F(PerfJournal, CorruptHeaderRecoversToEmptyAndRestarts) {
   EXPECT_EQ(DB.entryCount(), 1u);
   EXPECT_EQ(DB.measureKernel(K, smallConfig()), V);
   EXPECT_EQ(DB.misses(), 0u);
+}
+
+TEST_F(PerfJournal, UnreadableJournalIsNoRecordsAndIsNotTruncated) {
+  // A read error is not a torn tail: recovery of a journal it cannot
+  // read decodes nothing and leaves the path as it found it.
+  ASSERT_EQ(::mkdir(JPath.c_str(), 0755), 0);
+  FrameLog Log(JPath, 0x4a445047u, 1, 64);
+  size_t Decoded = 0;
+  auto Count = [&](const uint8_t *, size_t) {
+    ++Decoded;
+    return true;
+  };
+  EXPECT_EQ(Log.replay(Count), 0u);
+  Log.recover(Count);
+  EXPECT_EQ(Decoded, 0u);
+  struct stat St;
+  ASSERT_EQ(::stat(JPath.c_str(), &St), 0);
+  EXPECT_TRUE(S_ISDIR(St.st_mode));
+  EXPECT_EQ(::rmdir(JPath.c_str()), 0);
 }
 
 TEST_F(PerfJournal, CompactionFoldsJournalIntoSnapshot) {

@@ -12,7 +12,8 @@
 /// simulator's own aggregate counters exactly (SimStats, StallBreakdown,
 /// KernelProfile); results are bit-identical for every --jobs value on
 /// both machines; and the gpurun/perfdiff CLI surface behaves (exit 2 on
-/// malformed specs, --probe-out gated on --probe, --require gating).
+/// malformed specs, --probe-out gated on --probe, --require gating, a
+/// diagnostic and an error exit from every tool given a directory).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -120,6 +121,9 @@ TEST(ProbeSpecParser, RejectsMalformedInputWithLineColumn) {
                        "aggregation count }")
                 .find("unknown event"),
             std::string::npos);
+  EXPECT_NE(parseError("probe x { event pc_reached; aggregation count }")
+                .find("unknown event 'pc_reached'"),
+            std::string::npos);
   // Field not carried by the event, diagnosed at the field token.
   EXPECT_NE(parseError("probe x { event replay; aggregation sum; "
                        "value bytes }")
@@ -143,6 +147,15 @@ TEST(ProbeSpecParser, RejectsMalformedInputWithLineColumn) {
                 .find("version"),
             std::string::npos);
   EXPECT_NE(parseError("").find("no probes"), std::string::npos);
+}
+
+TEST(ProbeSpecParser, UnreadableSpecFileNamesTheReason) {
+  std::string Dir = ::testing::TempDir();
+  auto Specs = loadProbeSpecFile(Dir);
+  ASSERT_FALSE(Specs.hasValue());
+  EXPECT_NE(Specs.message().find(Dir), std::string::npos) << Specs.message();
+  EXPECT_NE(Specs.message().find("Is a directory"), std::string::npos)
+      << Specs.message();
 }
 
 //===----------------------------------------------------------------------===//
@@ -302,7 +315,7 @@ const char *ShadowSpecText =
     "probe drains { event block_drained; aggregation count }\n"
     "probe warps { event warp_exit; aggregation count }\n"
     "probe warp_work { event warp_exit; aggregation sum; value insts }\n"
-    "probe first_pc0 { event pc_reached; aggregation watch; "
+    "probe first_pc0 { event inst_issued; aggregation watch; "
     "filter pc == 0 }\n";
 
 void checkShadow(const MachineDesc &M) {
@@ -377,7 +390,7 @@ void checkShadow(const MachineDesc &M) {
   EXPECT_EQ(static_cast<uint64_t>(total("warp_work").Value),
             S.WarpInstsIssued);
 
-  // The pc_reached watchpoint saw PC 0 early in the run.
+  // The PC 0 watchpoint saw PC 0 early in the run.
   EXPECT_TRUE(total("first_pc0").Seen);
   EXPECT_GE(total("first_pc0").Value, 0);
 
@@ -444,8 +457,6 @@ TEST(ProbeShadow, JsonObjectIsValidAndVersioned) {
   auto R = launchKernel(gtx680(), P.K, P.Launch, GM);
   ASSERT_TRUE(R.hasValue()) << R.message();
   std::string Json = probeRecordJson(Probes, 1, "GTX680", "sgemm");
-  std::string Err;
-  ASSERT_TRUE(jsonValidate(Json, &Err)) << Err;
   auto V = jsonParse(Json);
   ASSERT_TRUE(V.hasValue()) << V.message();
   const JsonValue *Pr = V->find("probes");
@@ -581,6 +592,33 @@ TEST_F(ProbeCli, PerfdiffRequireGatesProbesObject) {
   std::remove(Base.c_str());
   std::remove(Cur.c_str());
 }
+
+#if defined(GPUPERF_GPUAS_PATH) && defined(GPUPERF_GPUDIS_PATH)
+
+TEST(LoaderCli, EveryToolRejectsADirectoryInput) {
+  // Every loader reads through readFileBytes, so a directory is a
+  // diagnostic and an error exit, never an abort.
+  std::string Dir = ::testing::TempDir();
+  std::string Record = Dir + "gpuperf_loader_record.json";
+  writeFile(Record, "{\"schema_version\":1}");
+  const std::pair<std::string, int> Cases[] = {
+      {std::string(GPUPERF_GPURUN_PATH) + " " + Dir, 1},
+      {std::string(GPUPERF_GPURUN_PATH) + " " + Dir + " --probe " + Dir, 2},
+      {std::string(GPUPERF_GPUDIS_PATH) + " " + Dir, 1},
+      {std::string(GPUPERF_GPUAS_PATH) + " " + Dir + " -o " + Dir +
+           "gpuperf_loader.gpub",
+       1},
+      {std::string(GPUPERF_PERFDIFF_PATH) + " " + Dir + " " + Record, 2}};
+  for (const auto &[Cmd, Exit] : Cases) {
+    std::string Out;
+    EXPECT_EQ(runCommand(Cmd, &Out), Exit) << Cmd << "\n" << Out;
+    EXPECT_NE(Out.find("Is a directory"), std::string::npos)
+        << Cmd << "\n" << Out;
+  }
+  std::remove(Record.c_str());
+}
+
+#endif // GPUPERF_GPUAS_PATH && GPUPERF_GPUDIS_PATH
 
 #endif // GPUPERF_GPURUN_PATH && GPUPERF_PERFDIFF_PATH
 

@@ -11,7 +11,7 @@
 /// the launch's StallBreakdown exactly; the annotated report shows the
 /// list scheduler shrinking the main loop's bank_conflict +
 /// dispatch_limit share; and perfdiff exits non-zero exactly when a
-/// record regressed beyond tolerance.
+/// compared value of a record moved.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -288,7 +288,7 @@ TEST(Profile, RecordJsonIsValidAndVersioned) {
 
 //===----------------------------------------------------------------------===//
 // (c) perfdiff: exit 0 on identical records, non-zero on an injected
-// over-tolerance cycle regression, 2 on schema/machine refusals.
+// cycle regression, 2 on schema/machine refusals.
 //===----------------------------------------------------------------------===//
 
 #ifdef GPUPERF_PERFDIFF_PATH
@@ -385,17 +385,9 @@ TEST_F(PerfDiff, CycleRegressionBeyondToleranceExitsOne) {
   std::string Worse = path("gpuperf_perfdiff_worse.json");
   writeRecord(Worse, 1, "GTX680", 1100.0); // +10%
   int RC = -1;
-  std::string Out = diff(Worse, "--tolerance cycles=0.05", &RC);
+  std::string Out = diff(Worse, "", &RC);
   EXPECT_EQ(RC, 1) << Out;
   EXPECT_NE(Out.find("cycles"), std::string::npos);
-}
-
-TEST_F(PerfDiff, RegressionWithinToleranceExitsZero) {
-  std::string Worse = path("gpuperf_perfdiff_near.json");
-  writeRecord(Worse, 1, "GTX680", 1030.0); // +3%
-  int RC = -1;
-  std::string Out = diff(Worse, "--tolerance cycles=0.05", &RC);
-  EXPECT_EQ(RC, 0) << Out;
 }
 
 TEST_F(PerfDiff, SchemaMismatchIsRefusedExitTwo) {
@@ -414,12 +406,6 @@ TEST_F(PerfDiff, MachineMismatchIsRefusedExitTwo) {
   std::string Out = diff(Other, "", &RC);
   EXPECT_EQ(RC, 2) << Out;
   EXPECT_NE(Out.find("machine"), std::string::npos);
-}
-
-TEST_F(PerfDiff, MalformedToleranceExitsTwo) {
-  int RC = -1;
-  std::string Out = diff(Baseline, "--tolerance cycles", &RC);
-  EXPECT_EQ(RC, 2) << Out;
 }
 
 #endif // GPUPERF_PERFDIFF_PATH

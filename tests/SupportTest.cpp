@@ -26,6 +26,7 @@
 #include <vector>
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 using namespace gpuperf;
 
@@ -312,6 +313,52 @@ TEST(FileIO, WriteTextFileWritesInPlaceAndReportsFailures) {
   EXPECT_EQ(Full.message(), "short write to '/dev/full'");
 }
 
+TEST(FileIO, ReadFileBytesReportsWhyItCannotRead) {
+  // A directory opens but cannot be read: the error names the path and
+  // the system's reason instead of throwing.
+  std::string Dir = ::testing::TempDir();
+  auto FromDir = readFileBytes(Dir);
+  ASSERT_FALSE(FromDir.hasValue());
+  EXPECT_NE(FromDir.message().find(Dir), std::string::npos)
+      << FromDir.message();
+  EXPECT_NE(FromDir.message().find("Is a directory"), std::string::npos)
+      << FromDir.message();
+
+  std::string Missing = Dir + "gpuperf_no_such_file";
+  auto FromMissing = readFileBytes(Missing);
+  ASSERT_FALSE(FromMissing.hasValue());
+  EXPECT_NE(FromMissing.message().find("No such file or directory"),
+            std::string::npos)
+      << FromMissing.message();
+
+  // Empty and larger-than-one-buffer files come back whole.
+  std::string Path = Dir + "gpuperf_read_bytes.bin";
+  ASSERT_FALSE(writeTextFile(Path, "").failed());
+  auto Empty = readFileBytes(Path);
+  ASSERT_TRUE(Empty.hasValue()) << Empty.message();
+  EXPECT_TRUE(Empty->empty());
+  std::string Big;
+  for (int I = 0; I < 100000; ++I)
+    Big += static_cast<char>(I * 7);
+  ASSERT_FALSE(writeTextFile(Path, Big).failed());
+  auto Whole = readFileBytes(Path);
+  ASSERT_TRUE(Whole.hasValue()) << Whole.message();
+  EXPECT_EQ(std::string(Whole->begin(), Whole->end()), Big);
+  std::remove(Path.c_str());
+
+  // A pipe has no size up front (perfdiff <(...)): the buffer grows.
+  int Fds[2];
+  ASSERT_EQ(::pipe(Fds), 0);
+  std::string Piped = Big.substr(0, 20000); // Fits the pipe buffer.
+  ASSERT_EQ(::write(Fds[1], Piped.data(), Piped.size()),
+            static_cast<ssize_t>(Piped.size()));
+  ::close(Fds[1]);
+  auto FromPipe = readFileBytes("/proc/self/fd/" + std::to_string(Fds[0]));
+  ::close(Fds[0]);
+  ASSERT_TRUE(FromPipe.hasValue()) << FromPipe.message();
+  EXPECT_EQ(std::string(FromPipe->begin(), FromPipe->end()), Piped);
+}
+
 //===----------------------------------------------------------------------===//
 // LittleEndian: the shared FNV-1a digest
 //===----------------------------------------------------------------------===//
@@ -333,10 +380,10 @@ TEST(LittleEndian, Fnv1aMatchesReferenceVectorsInByteOrder) {
 }
 
 //===----------------------------------------------------------------------===//
-// Json: writer round-trips through the strict validator
+// Json: writer output parses under the strict reader
 //===----------------------------------------------------------------------===//
 
-TEST(Json, WriterProducesValidatedOutput) {
+TEST(Json, WriterProducesParsableOutput) {
   JsonWriter W;
   W.beginObject();
   W.kv("name", "bench \"quoted\"\n\t\x01");
@@ -354,8 +401,8 @@ TEST(Json, WriterProducesValidatedOutput) {
   W.endObject();
   W.endArray();
   W.endObject();
-  std::string Err;
-  EXPECT_TRUE(jsonValidate(W.str(), &Err)) << Err << "\n" << W.str();
+  auto V = jsonParse(W.str());
+  EXPECT_TRUE(V.hasValue()) << V.message() << "\n" << W.str();
   EXPECT_NE(W.str().find("18446744073709551615"), std::string::npos);
   EXPECT_NE(W.str().find("\\u0001"), std::string::npos);
   EXPECT_NE(W.str().find("0.500"), std::string::npos);
@@ -368,40 +415,47 @@ TEST(Json, WriterEmitsNullForNonFiniteDoubles) {
   W.kv("nan", 0.0 / 0.0);
   W.endObject();
   EXPECT_EQ(W.str(), "{\"inf\":null,\"nan\":null}");
-  EXPECT_TRUE(jsonValidate(W.str()));
+  EXPECT_TRUE(jsonParse(W.str()).hasValue());
 }
 
-TEST(Json, ValidatorAcceptsWellFormedDocuments) {
+TEST(Json, ParseAcceptsWellFormedDocuments) {
   for (const char *Good :
        {"{}", "[]", "null", "true", "-0.5e10", "\"\"",
         "{\"a\":[1,2,{\"b\":null}],\"c\":\"\\u00e9\\\\\"}",
-        "  [ 1 , 2 ]  ", "\"\\n\\t\\\"\""})
-    EXPECT_TRUE(jsonValidate(Good)) << Good;
+        "  [ 1 , 2 ]  ", "\"\\n\\t\\\"\""}) {
+    auto V = jsonParse(Good);
+    EXPECT_TRUE(V.hasValue()) << Good << ": " << V.message();
+  }
 }
 
-TEST(Json, ValidatorRejectsMalformedDocuments) {
-  std::string Err;
+TEST(Json, ParseRejectsMalformedDocuments) {
   for (const char *Bad :
        {"", "{", "}", "{]", "[1,]", "{\"a\":}", "{\"a\" 1}", "01",
         "1.2.3", "+1", "nul", "truex", "\"unterminated", "\"bad\\q\"",
         "\"\\u12g4\"", "{} trailing", "[1] 2", "{\"a\":1,}",
-        "{'a':1}", "\"tab\tliteral\""}) {
-    EXPECT_FALSE(jsonValidate(Bad, &Err)) << Bad;
-    EXPECT_FALSE(Err.empty()) << Bad;
+        "{'a':1}", "\"tab\tliteral\"",
+        // Lone surrogates: each must be half of a high-low pair.
+        "\"\\ud800\"", "\"\\udc00\"", "\"\\ud83dx\"", "\"\\ud83dA\""}) {
+    auto V = jsonParse(Bad);
+    if (V.hasValue()) {
+      ADD_FAILURE() << "accepted " << Bad;
+      continue;
+    }
+    EXPECT_FALSE(V.message().empty()) << Bad;
   }
 }
 
-TEST(Json, ValidatorRejectsRunawayNesting) {
+TEST(Json, ParseRejectsRunawayNesting) {
   std::string Deep(1000, '[');
   Deep += std::string(1000, ']');
-  EXPECT_FALSE(jsonValidate(Deep)) << "depth cap must fire";
+  EXPECT_FALSE(jsonParse(Deep).hasValue()) << "depth cap must fire";
   std::string Shallow = "[[[[[[[[[[1]]]]]]]]]]";
-  EXPECT_TRUE(jsonValidate(Shallow));
+  EXPECT_TRUE(jsonParse(Shallow).hasValue());
 }
 
 TEST(Json, WriterEscapesEveryControlCharacter) {
   // All 32 control bytes must leave the writer escaped, and the result
-  // must survive the strict validator: a raw 0x00..0x1f in a string is
+  // must survive the strict reader: a raw 0x00..0x1f in a string is
   // exactly the corruption the metrics pipeline must never emit.
   for (int C = 0; C < 0x20; ++C) {
     JsonWriter W;
@@ -411,9 +465,9 @@ TEST(Json, WriterEscapesEveryControlCharacter) {
     W.beginObject();
     W.kv("k", S);
     W.endObject();
-    std::string Err;
-    EXPECT_TRUE(jsonValidate(W.str(), &Err))
-        << "control 0x" << std::hex << C << ": " << Err;
+    auto V = jsonParse(W.str());
+    EXPECT_TRUE(V.hasValue())
+        << "control 0x" << std::hex << C << ": " << V.message();
     EXPECT_EQ(W.str().find(static_cast<char>(C)), std::string::npos)
         << "raw control byte 0x" << std::hex << C << " leaked";
   }
@@ -521,7 +575,7 @@ TEST(Json, WriterEscapesQuoteAndBackslash) {
   W.kv("path", "C:\\dir\\\"name\"");
   W.endObject();
   EXPECT_EQ(W.str(), "{\"path\":\"C:\\\\dir\\\\\\\"name\\\"\"}");
-  EXPECT_TRUE(jsonValidate(W.str()));
+  EXPECT_TRUE(jsonParse(W.str()).hasValue());
 }
 
 TEST(Json, WriterPassesNonAsciiThrough) {
@@ -530,8 +584,8 @@ TEST(Json, WriterPassesNonAsciiThrough) {
   W.beginObject();
   W.kv("name", "caf\xc3\xa9 \xe6\xbc\xa2\xe5\xad\x97");
   W.endObject();
-  std::string Err;
-  EXPECT_TRUE(jsonValidate(W.str(), &Err)) << Err;
+  auto V = jsonParse(W.str());
+  EXPECT_TRUE(V.hasValue()) << V.message();
   EXPECT_NE(W.str().find("caf\xc3\xa9"), std::string::npos);
   EXPECT_NE(W.str().find("\xe6\xbc\xa2\xe5\xad\x97"),
             std::string::npos);
@@ -589,16 +643,6 @@ TEST(Json, ParseDecodesUnicodeEscapes) {
   // A lone high surrogate is not a valid escape.
   EXPECT_FALSE(jsonParse("\"\\ud83d\"").hasValue());
   EXPECT_FALSE(jsonParse("\"\\ud83dx\"").hasValue());
-}
-
-TEST(Json, ParseRejectsWhatValidatorRejects) {
-  for (const char *Bad :
-       {"", "{", "[1,]", "{\"a\":}", "01", "+1", "nul",
-        "\"unterminated", "\"bad\\q\"", "{} trailing"}) {
-    auto V = jsonParse(Bad);
-    EXPECT_FALSE(V.hasValue()) << Bad;
-    EXPECT_FALSE(V.message().empty()) << Bad;
-  }
 }
 
 TEST(Json, ParseRoundTripsIntegerCounters) {

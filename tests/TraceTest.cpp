@@ -112,8 +112,8 @@ TEST(TraceSmoke, EmitsValidChromeTraceJson) {
   EXPECT_GT(MaxSM, 0) << "want a multi-SM trace";
 
   std::string Json = chromeTraceJson(Trace, M);
-  std::string Err;
-  EXPECT_TRUE(jsonValidate(Json, &Err)) << Err;
+  auto Parsed = jsonParse(Json);
+  EXPECT_TRUE(Parsed.hasValue()) << Parsed.message();
   EXPECT_NE(Json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(Json.find("\"cat\":\"stall\""), std::string::npos);
   EXPECT_NE(Json.find("\"cat\":\"issue\""), std::string::npos);
@@ -146,8 +146,8 @@ TEST(TraceSmoke, TinyRingEvictsOldestButStaysValid) {
   SimTrace Big = runTraced(M, 1);
   EXPECT_GT(Small.DroppedEvents, 0u);
   EXPECT_LT(Small.Events.size(), Big.Events.size());
-  std::string Err;
-  EXPECT_TRUE(jsonValidate(chromeTraceJson(Small, M), &Err)) << Err;
+  auto Parsed = jsonParse(chromeTraceJson(Small, M));
+  EXPECT_TRUE(Parsed.hasValue()) << Parsed.message();
 }
 
 //===----------------------------------------------------------------------===//
@@ -221,8 +221,8 @@ TEST_F(GpurunMetrics, TraceFlagWritesValidJson) {
   ASSERT_TRUE(In.good());
   std::stringstream SS;
   SS << In.rdbuf();
-  std::string Err;
-  EXPECT_TRUE(jsonValidate(SS.str(), &Err)) << Err;
+  auto Parsed = jsonParse(SS.str());
+  EXPECT_TRUE(Parsed.hasValue()) << Parsed.message();
   EXPECT_NE(SS.str().find("\"traceEvents\""), std::string::npos);
   std::remove(TracePath.c_str());
 }
@@ -243,8 +243,8 @@ TEST_F(GpurunMetrics, ProfileFlagWritesJobsInvariantRecord) {
   }
   std::remove(Path.c_str());
 
-  std::string Err;
-  EXPECT_TRUE(jsonValidate(Record[0], &Err)) << Err;
+  auto Parsed = jsonParse(Record[0]);
+  EXPECT_TRUE(Parsed.hasValue()) << Parsed.message();
   EXPECT_NE(Record[0].find("\"record\":\"profile\""), std::string::npos);
   EXPECT_EQ(Record[0], Record[1]);
   EXPECT_EQ(Out[0], Out[1]);

@@ -15,11 +15,10 @@
 #include "asmtool/Assembler.h"
 #include "asmtool/NotationTuner.h"
 #include "support/Args.h"
+#include "support/FileIO.h"
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 using namespace gpuperf;
 
@@ -84,15 +83,14 @@ int main(int Argc, char **Argv) {
     Output += ".gpub";
   }
 
-  std::ifstream In(Input);
-  if (!In) {
-    std::fprintf(stderr, "gpuas: cannot open %s\n", Input);
+  auto Source = readFileBytes(Input);
+  if (!Source) {
+    std::fprintf(stderr, "gpuas: %s\n", Source.message().c_str());
     return 1;
   }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
 
-  auto M = assembleText(Buffer.str());
+  auto M = assembleText(std::string_view(
+      reinterpret_cast<const char *>(Source->data()), Source->size()));
   if (!M) {
     std::fprintf(stderr, "gpuas: %s: %s\n", Input, M.message().c_str());
     return 1;

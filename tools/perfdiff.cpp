@@ -4,12 +4,12 @@
 //
 // Compares two metrics records (bench --json or profile records), or a
 // directory of current records against a directory of committed
-// baselines, and exits non-zero when any numeric leaf moved by more
-// than its tolerance. This is the regression gate behind
-// run_benches.sh --check and the CI bench smoke.
+// baselines, and exits non-zero when any compared value moved at all.
+// This is the regression gate behind run_benches.sh --check and the CI
+// bench smoke.
 //
-//   perfdiff baseline.json current.json [--tolerance metric=frac]...
-//   perfdiff --baselines DIR --current DIR [--tolerance metric=frac]...
+//   perfdiff baseline.json current.json [--require NAME]... [--ignore KEY]...
+//   perfdiff --baselines DIR --current DIR [options]
 //
 // Records are refused (exit 2) rather than diffed when they are not
 // comparable: unreadable/invalid JSON, differing schema_version, or
@@ -17,16 +17,16 @@
 // schema or the machine changed is not a regression signal.
 //
 // Volatile host-dependent keys (wall_seconds, sim_cycles_per_sec,
-// jobs) are never compared. Everything else must match: numbers to
-// within the per-metric relative tolerance (default 0 -- the simulator
-// is deterministic), strings and booleans exactly, containers in shape.
+// jobs) are never compared. Everything else must match exactly --
+// numbers, strings and booleans by value, containers in shape -- because
+// the simulator is deterministic.
 //
 // Exit codes: 0 records match, 1 regression/difference, 2 usage or
 // refusal or I/O error.
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/Args.h"
+#include "support/FileIO.h"
 #include "support/Format.h"
 #include "support/Json.h"
 
@@ -35,10 +35,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -50,15 +47,6 @@ static int usage() {
       "usage: perfdiff baseline.json current.json [options]\n"
       "       perfdiff --baselines DIR --current DIR [options]\n"
       "\n"
-      "  --tolerance metric=frac   allow the numeric leaf named 'metric'\n"
-      "                            to deviate by the relative fraction\n"
-      "                            (e.g. cycles=0.02 allows 2%%); the\n"
-      "                            name may also be a dotted path\n"
-      "                            ('probes.gmem_bytes.value=0.05') or a\n"
-      "                            dotted prefix covering a subtree\n"
-      "                            ('probes=0.05'); the name '*' sets\n"
-      "                            the default for every metric\n"
-      "                            (otherwise 0: exact match)\n"
       "  --require NAME            fail (exit 1) unless the current\n"
       "                            record has the field NAME, given as a\n"
       "                            dotted path ('probes.gmem_bytes');\n"
@@ -83,30 +71,8 @@ static int usage() {
 namespace {
 
 struct DiffOptions {
-  std::map<std::string, double> Tolerance;
   std::set<std::string> Ignored;      ///< Extra keys from --ignore.
   std::vector<std::string> Require;   ///< Dotted paths from --require.
-
-  /// Most-specific tolerance wins: the full dotted path, then its
-  /// longest dot-boundary prefix (so 'probes=0.05' covers the whole
-  /// subtree), then the bare leaf name, then '*'.
-  double toleranceFor(const std::string &Path,
-                      const std::string &Leaf) const {
-    if (auto It = Tolerance.find(Path); It != Tolerance.end())
-      return It->second;
-    std::string Prefix = Path;
-    for (size_t Dot = Prefix.rfind('.'); Dot != std::string::npos;
-         Dot = Prefix.rfind('.')) {
-      Prefix.resize(Dot);
-      if (auto It = Tolerance.find(Prefix); It != Tolerance.end())
-        return It->second;
-    }
-    if (auto It = Tolerance.find(Leaf); It != Tolerance.end())
-      return It->second;
-    if (auto It = Tolerance.find("*"); It != Tolerance.end())
-      return It->second;
-    return 0.0;
-  }
 
   /// Host-dependent keys that legitimately differ between runs, plus
   /// whatever the caller asked to skip.
@@ -135,12 +101,10 @@ const char *kindName(JsonValue::Kind K) {
 }
 
 /// Recursively compares \p B (baseline) against \p C (current),
-/// appending one line per difference. \p Leaf is the nearest enclosing
-/// object key -- the name tolerances are looked up under, so array
-/// elements inherit their field's tolerance.
+/// appending one line per difference.
 void diffValue(const JsonValue &B, const JsonValue &C,
-               const std::string &Path, const std::string &Leaf,
-               const DiffOptions &O, std::vector<std::string> &Out) {
+               const std::string &Path, const DiffOptions &O,
+               std::vector<std::string> &Out) {
   if (B.K != C.K) {
     Out.push_back(formatString("%s: kind changed (%s -> %s)",
                                Path.c_str(), kindName(B.K),
@@ -157,18 +121,14 @@ void diffValue(const JsonValue &B, const JsonValue &C,
                                  C.Bool ? "true" : "false"));
     return;
   case JsonValue::Kind::Number: {
-    double Tol = O.toleranceFor(Path, Leaf);
+    if (B.Number == C.Number)
+      return;
+    // Relative to the larger magnitude, so the figure is symmetric in
+    // its arguments.
     double Scale = std::max(std::fabs(B.Number), std::fabs(C.Number));
-    double Delta = std::fabs(C.Number - B.Number);
-    // Exact tolerance means exact match; otherwise relative to the
-    // larger magnitude so the check is symmetric in its arguments.
-    bool Ok = Tol <= 0 ? Delta == 0 : Delta <= Tol * Scale;
-    if (!Ok)
-      Out.push_back(formatString(
-          "%s: %.6g -> %.6g (%+.2f%%, tolerance %.2f%%)", Path.c_str(),
-          B.Number, C.Number,
-          Scale > 0 ? 100.0 * (C.Number - B.Number) / Scale : 0.0,
-          100.0 * Tol));
+    Out.push_back(formatString("%s: %.6g -> %.6g (%+.2f%%)", Path.c_str(),
+                               B.Number, C.Number,
+                               100.0 * (C.Number - B.Number) / Scale));
     return;
   }
   case JsonValue::Kind::String:
@@ -185,7 +145,7 @@ void diffValue(const JsonValue &B, const JsonValue &C,
     }
     for (size_t I = 0; I < B.Items.size(); ++I)
       diffValue(B.Items[I], C.Items[I],
-                formatString("%s[%zu]", Path.c_str(), I), Leaf, O, Out);
+                formatString("%s[%zu]", Path.c_str(), I), O, Out);
     return;
   }
   case JsonValue::Kind::Object: {
@@ -199,7 +159,7 @@ void diffValue(const JsonValue &B, const JsonValue &C,
                                    Sub.c_str()));
         continue;
       }
-      diffValue(BV, *CV, Sub, Key, O, Out);
+      diffValue(BV, *CV, Sub, O, Out);
     }
     for (const auto &[Key, CV] : C.Members) {
       (void)CV;
@@ -214,12 +174,11 @@ void diffValue(const JsonValue &B, const JsonValue &C,
 }
 
 Expected<JsonValue> loadRecord(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return Status::error("cannot read '" + Path + "'");
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  auto V = jsonParse(SS.str());
+  auto Bytes = readFileBytes(Path);
+  if (!Bytes)
+    return Bytes.takeStatus();
+  auto V = jsonParse(std::string_view(
+      reinterpret_cast<const char *>(Bytes->data()), Bytes->size()));
   if (!V)
     return Status::error("'" + Path + "': " + V.message());
   return V;
@@ -303,7 +262,7 @@ int diffFiles(const std::string &Baseline, const std::string &Current,
           "%s: required (--require) but missing from current record",
           Name.c_str()));
   }
-  diffValue(*B, *C, "", "", O, Diffs);
+  diffValue(*B, *C, "", O, Diffs);
   if (Diffs.empty()) {
     std::printf("perfdiff: %s vs %s: ok\n", Baseline.c_str(),
                 Current.c_str());
@@ -325,24 +284,7 @@ int main(int Argc, char **Argv) {
   DiffOptions Opts;
 
   for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--tolerance") == 0 && I + 1 < Argc) {
-      std::string Spec = Argv[++I];
-      size_t Eq = Spec.find('=');
-      if (Eq == std::string::npos || Eq == 0) {
-        std::fprintf(stderr,
-                     "perfdiff: --tolerance: expected metric=frac, got "
-                     "'%s'\n",
-                     Spec.c_str());
-        return 2;
-      }
-      auto Frac = parseDouble(Spec.c_str() + Eq + 1, 0.0, 1e9);
-      if (!Frac) {
-        std::fprintf(stderr, "perfdiff: --tolerance %s: %s\n",
-                     Spec.c_str(), Frac.message().c_str());
-        return 2;
-      }
-      Opts.Tolerance[Spec.substr(0, Eq)] = *Frac;
-    } else if (std::strcmp(Argv[I], "--require") == 0 && I + 1 < Argc) {
+    if (std::strcmp(Argv[I], "--require") == 0 && I + 1 < Argc) {
       std::string Name = Argv[++I];
       if (Name.empty()) {
         std::fprintf(stderr, "perfdiff: --require: empty field name\n");
