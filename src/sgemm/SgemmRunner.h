@@ -42,7 +42,9 @@ struct SgemmRunResult {
   int RegsPerThread = 0;
   int CodeSize = 0;         ///< Static instructions in the kernel.
   double FfmaPercent = 0;   ///< Of executed thread instructions.
-  bool Verified = false;    ///< True when verification ran and passed.
+  /// True when verification ran and every element of C equals the
+  /// reference (so a NaN element fails).
+  bool Verified = false;
   double MaxAbsError = 0;
 };
 
@@ -59,6 +61,24 @@ struct SgemmRunOptions {
   /// merged in SM index order, so results are Jobs-invariant).
   ProbeEngine *Probes = nullptr;
 };
+
+/// Device memory of one SGEMM run: padded, column-major A, B and C,
+/// allocated in that order.
+struct SgemmOperands {
+  GlobalMemory GM{0};
+  uint32_t Addr[3] = {};
+  size_t Elems[3] = {};
+};
+
+/// Allocates the operands of \p Problem for \p Cfg, whose shape fields
+/// (M, N, K, Lda, Ldb, Ldc, Variant) are already padded as runSgemmConfig
+/// pads them, and fills the true region of A and B, and of C when Beta
+/// is nonzero, from Rng(\p Seed) column by column; the rest reads zero.
+/// Fails before any memory exists when the matrices do not fit the
+/// 32-bit device space.
+Expected<SgemmOperands> makeSgemmOperands(const SgemmKernelConfig &Cfg,
+                                          const SgemmProblem &Problem,
+                                          uint64_t Seed);
 
 /// Runs \p Problem with implementation \p Impl on machine \p M.
 Expected<SgemmRunResult> runSgemm(const MachineDesc &M, SgemmImpl Impl,

@@ -80,12 +80,20 @@ constexpr int MaxSharedBanks = 32;
 
 // The multiplier is normalized by the *inherent* degree of a perfectly
 // sequential access of this width (e.g. LDS.64 on Fermi inherently takes
-// two passes, which the base pipe cost already covers). An access spans
-// at most Width / BankBytes <= NumBanks consecutive words, so each lane
-// adds at most one word per bank and a bank's list never outgrows the
-// warp. Addresses are non-negative and the bank geometry is a power of
-// two, so a shift and a mask compute the word and bank exactly as
-// division and remainder would.
+// two passes, which the base pipe cost already covers).
+//
+// The degree is counted per chunk of max(Width, BankBytes) bytes rather
+// than per bank word. An aligned access touches the bank words of
+// exactly one chunk, and two different chunks share no word. A chunk
+// covers ChunkBytes / BankBytes consecutive banks, so chunks equal modulo
+// NumGroups = NumBanks * BankBytes / ChunkBytes sit on the same banks, one
+// word each, and chunks in different groups on disjoint banks. The
+// distinct words of a bank are therefore the distinct chunks of its
+// group: one insert per lane instead of one per word, and none for a
+// lane in the previous lane's chunk. A group's list never outgrows the
+// warp. Addresses are non-negative and the geometry is a power of two,
+// so a shift and a mask compute the chunk and group exactly as division
+// and remainder would.
 double gpuperf::sharedSerialization(const int64_t *Addrs, int NumAddrs,
                                     int Width, int NumBanks,
                                     int BankBytes) {
@@ -95,23 +103,41 @@ double gpuperf::sharedSerialization(const int64_t *Addrs, int NumAddrs,
          "bank geometry exceeds the serialization scratch arrays");
   assert(std::has_single_bit(static_cast<unsigned>(NumBanks)) &&
          std::has_single_bit(static_cast<unsigned>(BankBytes)) &&
-         "bank geometry must be a power of two");
-  const int WordShift = std::countr_zero(static_cast<unsigned>(BankBytes));
-  const int64_t BankMask = NumBanks - 1;
-  // Distinct words per bank.
-  int64_t Words[MaxSharedBanks][WarpSize];
+         std::has_single_bit(static_cast<unsigned>(Width)) &&
+         "bank geometry and access width must be powers of two");
+  const int ChunkBytes = std::max(Width, BankBytes);
+  const int ChunkShift = std::countr_zero(static_cast<unsigned>(ChunkBytes));
+  const int64_t GroupMask = NumBanks * BankBytes / ChunkBytes - 1;
+  // Degree 1, every group holding a single chunk, is the common case,
+  // and its multiplier is 1 whatever the ideal: one pass that compares
+  // each lane's chunk with the last one its group saw decides it.
+  int64_t Last[MaxSharedBanks];
+  std::fill(Last, Last + MaxSharedBanks, -1);
+  bool Conflict = false;
+  for (int A = 0; A < NumAddrs; ++A) {
+    const int64_t Chunk = Addrs[A] >> ChunkShift;
+    int64_t &L = Last[Chunk & GroupMask];
+    Conflict |= (L >= 0) & (L != Chunk);
+    L = Chunk;
+  }
+  if (!Conflict)
+    return 1.0;
+  // Distinct chunks per group.
+  int64_t Chunks[MaxSharedBanks][WarpSize];
   int Counts[MaxSharedBanks] = {};
   int Degree = 0;
+  int64_t Prev = -1;
   for (int A = 0; A < NumAddrs; ++A) {
-    for (int Offset = 0; Offset < Width; Offset += BankBytes) {
-      int64_t Word = (Addrs[A] + Offset) >> WordShift;
-      int Bank = static_cast<int>(Word & BankMask);
-      int64_t *List = Words[Bank];
-      int &Count = Counts[Bank];
-      if (std::find(List, List + Count, Word) == List + Count) {
-        List[Count++] = Word;
-        Degree = std::max(Degree, Count);
-      }
+    const int64_t Chunk = Addrs[A] >> ChunkShift;
+    if (Chunk == Prev)
+      continue;
+    Prev = Chunk;
+    const int Group = static_cast<int>(Chunk & GroupMask);
+    int64_t *List = Chunks[Group];
+    int &Count = Counts[Group];
+    if (std::find(List, List + Count, Chunk) == List + Count) {
+      List[Count++] = Chunk;
+      Degree = std::max(Degree, Count);
     }
   }
   int Ideal = std::max(1, NumAddrs * Width / BankBytes / NumBanks);

@@ -21,19 +21,59 @@
 #include <bitset>
 #include <cassert>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <initializer_list>
 #include <map>
+#include <new>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace gpuperf {
 
+/// Storage for GlobalMemory: an allocator whose blocks come from calloc,
+/// and whose argument-less construct writes nothing because calloc's
+/// bytes are already zero. A large image is then fresh zero pages, which
+/// the OS makes resident only where a fill or a kernel writes: an SGEMM
+/// projection with beta = 0 never pays for the pages of C that its first
+/// wave does not store. Only GlobalMemory uses it, and it default-inserts
+/// only into storage fresh from allocate (construction); growth inserts
+/// an explicit 0.
+template <typename T> struct ZeroPageAllocator {
+  using value_type = T;
+
+  ZeroPageAllocator() = default;
+  template <typename U>
+  ZeroPageAllocator(const ZeroPageAllocator<U> &) noexcept {}
+
+  T *allocate(size_t N) {
+    if (void *P = std::calloc(N, sizeof(T)))
+      return static_cast<T *>(P);
+    throw std::bad_alloc();
+  }
+  void deallocate(T *P, size_t) noexcept { std::free(P); }
+
+  template <typename U> void construct(U *) noexcept {}
+  template <typename U, typename... Args>
+  void construct(U *P, Args &&...A) {
+    ::new (static_cast<void *>(P)) U(std::forward<Args>(A)...);
+  }
+
+  template <typename U>
+  bool operator==(const ZeroPageAllocator<U> &) const noexcept {
+    return true;
+  }
+};
+
 /// The device's global memory plus a trivial bump allocator. The backing
 /// store grows on allocate(), so small experiments stay cheap while
-/// 4800x4800 SGEMM (276 MB of matrices) still fits the 32-bit space.
+/// 4800x4800 SGEMM (276 MB of matrices) still fits the 32-bit space. The
+/// bytes live in zero pages (see ZeroPageAllocator): constructing even a
+/// large image costs nothing until it is written.
 class GlobalMemory {
 public:
-  explicit GlobalMemory(size_t Bytes = 1ull << 20) : Data(Bytes, 0) {}
+  explicit GlobalMemory(size_t Bytes = 1ull << 20) : Data(Bytes) {}
 
   /// Allocates \p Bytes aligned to 256 (like cudaMalloc); returns the byte
   /// address, or a recoverable error on 32-bit address-space exhaustion.
@@ -50,7 +90,7 @@ public:
 
   /// True when allocations of \p Sizes, made in order into a fresh
   /// memory, would all succeed: a caller can reject a request before it
-  /// constructs (and so zero-fills) the memory.
+  /// constructs the memory.
   static bool fitsFresh(std::initializer_list<size_t> Sizes) {
     uint64_t End = FirstAddress;
     for (size_t Bytes : Sizes) {
@@ -98,7 +138,21 @@ public:
     std::memcpy(Data.data() + Addr, &Value, 4);
   }
 
-  /// Typed host-side access for filling/checking matrices.
+  /// The \p Bytes bytes at \p Addr, for host-side bulk fills and
+  /// read-backs; an empty span when any of them is out of bounds (in
+  /// release builds too, like load32/store32).
+  std::span<uint8_t> bytes(uint64_t Addr, size_t Bytes) {
+    if (!spanInBounds(Addr, Bytes))
+      return {};
+    return {Data.data() + Addr, Bytes};
+  }
+  std::span<const uint8_t> bytes(uint64_t Addr, size_t Bytes) const {
+    if (!spanInBounds(Addr, Bytes))
+      return {};
+    return {Data.data() + Addr, Bytes};
+  }
+
+  /// Typed host-side access for single words.
   float loadFloat(uint32_t Addr) const {
     uint32_t V = load32(Addr);
     float F;
@@ -119,8 +173,12 @@ private:
   static uint64_t alignAllocation(uint64_t Addr) {
     return (Addr + 255) & ~uint64_t(255);
   }
+  /// inBounds for a span of any length, free of overflow.
+  bool spanInBounds(uint64_t Addr, size_t Bytes) const {
+    return Addr <= Data.size() && Bytes <= Data.size() - Addr;
+  }
 
-  std::vector<uint8_t> Data;
+  std::vector<uint8_t, ZeroPageAllocator<uint8_t>> Data;
   size_t Next = FirstAddress;
 };
 

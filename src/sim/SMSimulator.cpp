@@ -11,6 +11,7 @@
 #include "support/Format.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -37,22 +38,6 @@ struct BlockState {
   int ArrivedAtBarrier = 0;
 };
 
-/// Everything the scheduler reads about one static instruction, decoded
-/// once per wave: none of it changes while the wave runs.
-struct DecodedInst {
-  InstTiming Timing;
-  RegList Srcs; ///< Instruction::sourceRegs()
-  RegList Dsts; ///< Instruction::destRegs()
-  /// Scoreboarded predicates: the guard (-1 for PT) and the predicate an
-  /// ISETP writes (-1 for everything else).
-  int8_t GuardPred = -1;
-  int8_t PredDst = -1;
-  /// Kepler control field (zeros without notations or before Kepler).
-  ControlField Field;
-  /// Every register and predicate index fits the allocated files.
-  bool RegsOk = true;
-};
-
 /// Why one warp could not issue this cycle, ordered by attribution
 /// priority (higher wins when a scheduler's warps are blocked for
 /// different reasons): a warp blocked only by a busy structural pipe was
@@ -68,6 +53,27 @@ enum class WarpBlock : uint8_t {
   MathPipe,      ///< SM-wide SP pipeline busy (pre-Kepler).
   LdstPipe,      ///< LD/ST pipe busy (shared-memory throughput).
   IssuePipe,     ///< Kepler SM-wide issue pipe busy.
+};
+constexpr size_t NumWarpBlocks = static_cast<size_t>(WarpBlock::IssuePipe) + 1;
+
+/// Everything the scheduler reads about one static instruction, decoded
+/// once per wave: none of it changes while the wave runs.
+struct DecodedInst {
+  InstTiming Timing;
+  RegList Srcs; ///< Instruction::sourceRegs()
+  RegList Dsts; ///< Instruction::destRegs()
+  /// Scoreboarded predicates: the guard (-1 for PT) and the predicate an
+  /// ISETP writes (-1 for everything else).
+  int8_t GuardPred = -1;
+  int8_t PredDst = -1;
+  /// Kepler control field (zeros without notations or before Kepler).
+  ControlField Field;
+  /// Every register and predicate index fits the allocated files.
+  bool RegsOk = true;
+  /// The first structural resource blockedPipe checks that this
+  /// instruction occupies (None when it occupies none, or when its
+  /// registers do not fit the files, so that it traps at issue).
+  WarpBlock FirstPipe = WarpBlock::None;
 };
 
 class SMSim {
@@ -116,6 +122,13 @@ public:
       SchedWarps[W % NumSchedulers].push_back(W);
     PortFree.assign(NumSchedulers, 0.0);
     RRNext.assign(NumSchedulers, 0);
+    Gates.resize(NumSchedulers);
+    for (int W = 0; W < LiveWarps; ++W) {
+      GateState &G = Gates[W % NumSchedulers];
+      G.ByLastIssue.push_back(W);
+      ++G.Live;
+      ++G.atFirstPipe(firstPipeAt(0));
+    }
     SchedBlocked.assign(NumSchedulers, WarpBlock::None);
     SchedBlockedPC.assign(NumSchedulers, -1);
   }
@@ -279,6 +292,13 @@ private:
         if (I.Dst >= NumPredRegs)
           D.RegsOk = false;
       }
+      const InstTiming &T = D.Timing;
+      D.FirstPipe = !D.RegsOk            ? WarpBlock::None
+                    : T.DispatchPort > 0 ? WarpBlock::Port
+                    : T.IssuePipe > 0    ? WarpBlock::IssuePipe
+                    : T.MathPipe > 0     ? WarpBlock::MathPipe
+                    : T.LdstPipe > 0     ? WarpBlock::LdstPipe
+                                         : WarpBlock::None;
     }
   }
 
@@ -362,6 +382,8 @@ private:
   }
   /// Earliest cycle at which every register and predicate \p D reads or
   /// writes is ready; the operands are ready at `Now` iff it is <= Now.
+  /// issue stores it for the warp's next instruction in
+  /// WarpContext::ReadyAt, which the issue checks read.
   static uint64_t regsReadyCycle(const WarpContext &W,
                                  const DecodedInst &D) {
     uint64_t T = 0;
@@ -413,7 +435,7 @@ private:
     if (WarpBlock Pipe = blockedPipe(D.Timing, Sched);
         Pipe != WarpBlock::None)
       return Pipe;
-    if (regsReadyCycle(W, D) > Now)
+    if (W.ReadyAt > Now)
       return WarpBlock::Scoreboard;
     return std::nullopt;
   }
@@ -535,8 +557,11 @@ private:
       W.PredReady[D.PredDst] = Now + static_cast<uint64_t>(M.MathLatency);
 
     // --- Control effects --------------------------------------------------------
+    GateState &G = Gates[WarpIdx % NumSchedulers];
+    --G.atFirstPipe(firstPipeAt(W.PC));
     bool WarpExited = false, BlockDrained = false;
     if (Fx.IsExit) {
+      --G.Live;
       W.Done = true;
       --LiveWarps;
       --B.LiveWarps;
@@ -568,6 +593,15 @@ private:
     } else {
       W.StallUntil = Now + 1;
       W.NoPenaltyWait = true; // Fermi has a full scoreboard.
+    }
+    if (!W.Done)
+      ++G.atFirstPipe(firstPipeAt(W.PC));
+    // A warp's ready times and PC change only here, at its own issue.
+    if (static_cast<size_t>(W.PC) < Decoded.size() && Decoded[W.PC].RegsOk)
+      W.ReadyAt = regsReadyCycle(W, Decoded[W.PC]);
+    if (W.LastIssue != Now) { // Not the second half of a pair.
+      auto It = std::find(G.ByLastIssue.begin(), G.ByLastIssue.end(), WarpIdx);
+      std::rotate(It, It + 1, G.ByLastIssue.end());
     }
     W.LastIssue = Now;
 
@@ -633,6 +667,58 @@ private:
         W.AtBarrier = false;
   }
 
+  /// FirstPipe of the instruction at \p PC, or None off the code.
+  WarpBlock firstPipeAt(int PC) const {
+    return static_cast<size_t>(PC) < Decoded.size() ? Decoded[PC].FirstPipe
+                                                    : WarpBlock::None;
+  }
+
+  /// The slot of scheduler \p Sched decided without a per-warp issue
+  /// check. The gate is its dispatch port when busy (Fermi, where every
+  /// instruction holds it), else the SM-wide issue pipe when busy
+  /// (Kepler, where every non-Control instruction uses it). When every
+  /// live warp sits at an instruction whose first pipe is the gate,
+  /// blockReason gives each candidate -- a warp not at a barrier and not
+  /// stalled -- that gate. It outranks Barrier, NotationStall and None,
+  /// and no Scoreboard verdict charges a replay, so the scan would charge
+  /// the slot to the gate at the candidate with the smallest LastIssue,
+  /// ties going to the first in round-robin order from RRNext. Returns
+  /// that warp, or -1 when the gate is free, the precondition fails, or
+  /// no candidate exists; the scan then decides the slot.
+  int gatedOldestWarp(int Sched) const {
+    const double Limit = static_cast<double>(Now) + 1.0;
+    const WarpBlock Gate = PortFree[Sched] >= Limit ? WarpBlock::Port
+                           : IssuePipeFree >= Limit ? WarpBlock::IssuePipe
+                                                    : WarpBlock::None;
+    const GateState &G = Gates[Sched];
+    if (Gate == WarpBlock::None || G.atFirstPipe(Gate) != G.Live)
+      return -1;
+    // ByLastIssue is oldest first. LastIssue values past 0 are distinct
+    // (one issue per scheduler per cycle), so only the warps at 0 -- not
+    // yet issued, or issued at cycle 0 -- can tie. Warps are distributed
+    // to schedulers by index, so warp WarpIdx is SchedWarps position
+    // WarpIdx / NumSchedulers.
+    const int NumMine = static_cast<int>(SchedWarps[Sched].size());
+    int Oldest = -1, OldestRank = 0;
+    for (int WarpIdx : G.ByLastIssue) {
+      const WarpContext &W = Warps[WarpIdx];
+      if (W.LastIssue > 0 && Oldest >= 0)
+        break;
+      if (W.Done || W.AtBarrier || W.StallUntil > Now)
+        continue;
+      if (W.LastIssue > 0)
+        return WarpIdx;
+      int Rank = WarpIdx / NumSchedulers - RRNext[Sched];
+      if (Rank < 0)
+        Rank += NumMine;
+      if (Oldest < 0 || Rank < OldestRank) {
+        Oldest = WarpIdx;
+        OldestRank = Rank;
+      }
+    }
+    return Oldest;
+  }
+
   Status runScheduler(int Sched, bool &IssuedAny) {
     const std::vector<int> &Mine = SchedWarps[Sched];
     if (Mine.empty()) {
@@ -648,7 +734,16 @@ private:
     // slot is charged to a PC too: among the warps blocked for the
     // winning reason, the one that has waited longest since its last
     // issue (the likely head of the dependence chain) names the
-    // instruction.
+    // instruction. A slot lost to a busy gate is decided without the
+    // scan when gatedOldestWarp can name that warp.
+    if (const int Oldest = gatedOldestWarp(Sched); Oldest >= 0) {
+      const int PC = Warps[Oldest].PC;
+      const WarpBlock Gate = Decoded[PC].FirstPipe;
+      SchedBlocked[Sched] = Gate;
+      SchedBlockedPC[Sched] = PC;
+      accountStall(Sched, Gate, PC, Now, 1);
+      return Status::success();
+    }
     WarpBlock Best = WarpBlock::None;
     int BestPC = -1;
     uint64_t BestWait = 0;
@@ -722,7 +817,7 @@ private:
       bool PCValid =
           W.PC >= 0 && static_cast<size_t>(W.PC) < K.Code.size();
       if (PCValid && Decoded[W.PC].RegsOk)
-        T = std::max(T, regsReadyCycle(W, Decoded[W.PC]));
+        T = std::max(T, W.ReadyAt);
       Min = std::min(Min, T);
     }
     return Min;
@@ -755,6 +850,24 @@ private:
   std::vector<double> PortFree;
   /// Each scheduler's round-robin start, an index into its warp list.
   std::vector<int> RRNext;
+  /// What gatedOldestWarp reads of one scheduler, kept up to date at
+  /// every issue.
+  struct GateState {
+    /// The scheduler's warps by LastIssue, oldest first.
+    std::vector<int> ByLastIssue;
+    /// Warps not done, and how many of them sit at an instruction of
+    /// each FirstPipe (indexed by WarpBlock).
+    int Live = 0;
+    std::array<int, NumWarpBlocks> AtFirstPipe = {};
+
+    int &atFirstPipe(WarpBlock B) {
+      return AtFirstPipe[static_cast<size_t>(B)];
+    }
+    int atFirstPipe(WarpBlock B) const {
+      return AtFirstPipe[static_cast<size_t>(B)];
+    }
+  };
+  std::vector<GateState> Gates;
   /// Each scheduler's block reason in the most recent no-issue cycle
   /// (reused to attribute fast-forwarded idle spans).
   std::vector<WarpBlock> SchedBlocked;

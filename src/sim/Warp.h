@@ -44,6 +44,10 @@ struct WarpContext {
   /// True when the previous instruction's notation set the yield flag:
   /// scoreboard waits are free (no replay penalty) for the next issue.
   bool NoPenaltyWait = false;
+  /// Cycle at which every operand of the instruction at PC is ready:
+  /// the latest RegReady/PredReady entry it reads or writes, kept by the
+  /// simulator (0 for a fresh warp, whose entries are all 0).
+  uint64_t ReadyAt = 0;
   /// Round-robin ranking aid: cycle of last issue.
   uint64_t LastIssue = 0;
   /// Instructions issued by this warp (watchdog progress reporting).
@@ -58,6 +62,7 @@ struct WarpContext {
     RegReady = {};
     PredReady = {};
     StallUntil = 0;
+    ReadyAt = 0;
     NoPenaltyWait = false;
     LastIssue = 0;
     InstsIssued = 0;

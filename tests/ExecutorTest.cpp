@@ -302,19 +302,82 @@ TEST(ExecutorShared, SerializationMatchesDivisionReference) {
   for (const MachineDesc *M : AllMachines)
     for (MemWidth MW : AllWidths) {
       const int Width = memWidthBytes(MW);
-      for (int Trial = 0; Trial < 400; ++Trial) {
+      int Conflicted = 0;
+      for (int Trial = 0; Trial < 2000; ++Trial) {
         std::vector<int64_t> Addrs =
             randomSharedPattern(R, Width, 48 * 1024);
         Addrs.resize(static_cast<size_t>(R.nextInRange(0, WarpSize)));
+        const double Want = divisionSerialization(
+            Addrs, Width, M->SharedMemBanks, M->SharedMemBankBytes);
+        Conflicted += Want > 1.0;
         EXPECT_EQ(sharedSerialization(Addrs.data(),
                                       static_cast<int>(Addrs.size()), Width,
                                       M->SharedMemBanks,
                                       M->SharedMemBankBytes),
-                  divisionSerialization(Addrs, Width, M->SharedMemBanks,
-                                        M->SharedMemBankBytes))
+                  Want)
             << M->Name << " width " << Width << " trial " << Trial;
       }
+      EXPECT_GT(Conflicted, 100) << M->Name << " width " << Width;
     }
+}
+
+// Accesses whose worst bank degree equals the inherent degree of their
+// width (Degree == Ideal > 1), lanes in one bank word, and runs of lanes
+// repeating the previous lane's address, each against the reference.
+TEST(ExecutorShared, SerializationMatchesReferenceOnWideAndRepeatedLanes) {
+  struct Case {
+    const MachineDesc *M;
+    int Width;
+    const char *What;
+    std::vector<int64_t> Addrs;
+    double Want;
+  };
+  auto Lanes = [](auto AddrOf) {
+    std::vector<int64_t> Addrs(WarpSize);
+    for (int L = 0; L < WarpSize; ++L)
+      Addrs[L] = AddrOf(L);
+    return Addrs;
+  };
+  const Case Cases[] = {
+      // 16 distinct 8-byte chunks, two per bank group: degree 2, ideal 2.
+      {&gtx580(), 8, "LDS.64 over 16 chunks",
+       Lanes([](int L) { return 8 * ((L / 2) % 8 + 16 * (L / 16)); }), 1.0},
+      // The same chunks four to a group: degree 4 against ideal 2.
+      {&gtx580(), 8, "LDS.64 four chunks a group",
+       Lanes([](int L) { return 8 * ((L / 2) % 4 + 16 * (L / 8)); }), 2.0},
+      // Lane pairs inside one 8-byte bank word broadcast.
+      {&gtx680(), 4, "LDS.32 two lanes a word",
+       Lanes([](int L) { return 4 * L; }), 1.0},
+      {&gtx680(), 4, "LDS.32 two lanes a word, 64-byte stride",
+       Lanes([](int L) { return 4 * (L % 2) + 256 * (L / 2); }), 16.0},
+      // Sequential LDS.128: degree 4 (GTX580) and 2 (GTX680) = ideal.
+      {&gtx580(), 16, "LDS.128 sequential",
+       Lanes([](int L) { return 16 * L; }), 1.0},
+      {&gtx680(), 16, "LDS.128 sequential",
+       Lanes([](int L) { return 16 * L; }), 1.0},
+      {&gtx580(), 16, "LDS.128 stride 2",
+       Lanes([](int L) { return 32 * L; }), 2.0},
+      {&gtx680(), 16, "LDS.128 stride 2",
+       Lanes([](int L) { return 32 * L; }), 2.0},
+      // Runs of four lanes on one address, runs landing on one bank.
+      {&gtx580(), 4, "LDS.32 runs of four, 128-byte stride",
+       Lanes([](int L) { return 128 * (L / 4); }), 8.0},
+      {&gtx680(), 8, "LDS.64 runs of two, 256-byte stride",
+       Lanes([](int L) { return 256 * (L / 2); }), 16.0},
+      {&gtx580(), 8, "LDS.64 runs returning to an earlier address",
+       Lanes([](int L) { return 256 * ((L / 4) % 2); }), 1.0},
+  };
+  for (const Case &C : Cases) {
+    const int Banks = C.M->SharedMemBanks, BankBytes = C.M->SharedMemBankBytes;
+    EXPECT_EQ(divisionSerialization(C.Addrs, C.Width, Banks, BankBytes),
+              C.Want)
+        << C.M->Name << " " << C.What;
+    EXPECT_EQ(sharedSerialization(C.Addrs.data(),
+                                  static_cast<int>(C.Addrs.size()), C.Width,
+                                  Banks, BankBytes),
+              C.Want)
+        << C.M->Name << " " << C.What;
+  }
 }
 
 namespace {

@@ -14,12 +14,16 @@
 
 #include "sgemm/Reference.h"
 #include "sgemm/SgemmRunner.h"
+#include "support/Format.h"
+#include "support/LittleEndian.h"
 #include "support/MathUtils.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <span>
 #include <vector>
 
 using namespace gpuperf;
@@ -425,6 +429,67 @@ TEST(SgemmStats, KeplerBankAwareBeatsNaive) {
   EXPECT_GT(Tuned->Gflops, 1.2 * Naive->Gflops);
 }
 
+// --- Device image -------------------------------------------------------------
+
+namespace {
+
+uint64_t imageHash(const GlobalMemory &GM) {
+  std::span<const uint8_t> All = GM.bytes(0, GM.size());
+  Fnv1a H;
+  H.bytes(All.data(), All.size());
+  return H.value();
+}
+
+} // namespace
+
+// makeSgemmOperands fills a column at a time through one bounds check;
+// its image must equal one filled element by element with storeFloat,
+// from the same Rng stream in the same order, padding left zero.
+TEST(SgemmImage, ColumnFillEqualsPerElementFill) {
+  for (GemmVariant V : {GemmVariant::NN, GemmVariant::NT, GemmVariant::TN,
+                        GemmVariant::TT})
+    for (float Beta : {0.0f, 0.5f}) {
+      const SgemmProblem P = problem(V, 100, 70, 36, 1.0f, Beta);
+      SgemmKernelConfig Cfg =
+          baselineConfig(SgemmImpl::AsmTuned, gtx580(), V, P.M, P.N, P.K);
+      const int MP = static_cast<int>(alignTo(P.M, Cfg.blockTile()));
+      const int NP = static_cast<int>(alignTo(P.N, Cfg.blockTile()));
+      const int KP = static_cast<int>(alignTo(P.K, Cfg.L));
+      const bool TA = transA(V), TB = transB(V);
+      Cfg.Variant = V;
+      Cfg.M = MP;
+      Cfg.N = NP;
+      Cfg.K = KP;
+      Cfg.Lda = TA ? KP : MP;
+      Cfg.Ldb = TB ? NP : KP;
+      Cfg.Ldc = MP;
+      auto Ops = makeSgemmOperands(Cfg, P, 7);
+      ASSERT_TRUE(Ops.hasValue()) << Ops.message();
+
+      GlobalMemory Want(Ops->GM.size());
+      uint32_t Addr[3];
+      for (int I = 0; I < 3; ++I)
+        Addr[I] = Want.allocate(4 * Ops->Elems[I]);
+      Rng R(7);
+      auto Fill = [&](uint32_t Base, int Ld, int Rows, int Cols) {
+        for (int C = 0; C < Cols; ++C)
+          for (int Row = 0; Row < Rows; ++Row)
+            Want.storeFloat(Base + 4 * (C * Ld + Row), R.nextUnitFloat());
+      };
+      Fill(Addr[0], Cfg.Lda, TA ? P.K : P.M, TA ? P.M : P.K);
+      Fill(Addr[1], Cfg.Ldb, TB ? P.N : P.K, TB ? P.K : P.N);
+      if (Beta != 0.0f)
+        Fill(Addr[2], MP, P.M, P.N);
+
+      SCOPED_TRACE(formatString("variant %d beta %g", static_cast<int>(V),
+                                Beta));
+      for (int I = 0; I < 3; ++I)
+        EXPECT_EQ(Ops->Addr[I], Addr[I]);
+      EXPECT_EQ(Ops->Elems[0], static_cast<size_t>(Cfg.Lda) * (TA ? MP : KP));
+      EXPECT_EQ(imageHash(Ops->GM), imageHash(Want));
+    }
+}
+
 TEST(SgemmErrors, VerifyRequiresFullSimulation) {
   SgemmRunOptions O;
   O.Mode = SimMode::ProjectOneWave;
@@ -446,6 +511,24 @@ TEST(SgemmErrors, RejectsOversizedShapeBeforeAllocating) {
   EXPECT_NE(R.message().find("matrices do not fit the simulated device"),
             std::string::npos)
       << R.message();
+}
+
+// Equality with the reference is the pass rule, so a C of NaN fails
+// verification; a maximum over errors alone would drop every NaN.
+TEST(SgemmErrors, NanResultFailsVerification) {
+  for (const MachineDesc *M : {&gtx580(), &gtx680()}) {
+    SgemmRunOptions O;
+    O.Mode = SimMode::Full;
+    O.Verify = true;
+    auto R = runSgemm(*M, SgemmImpl::AsmTuned,
+                      problem(GemmVariant::NN, 192, 192, 64, NAN), O);
+    ASSERT_FALSE(R.hasValue()) << M->Name;
+    EXPECT_NE(R.message().find("36864 of 36864 elements differ"),
+              std::string::npos)
+        << M->Name << ": " << R.message();
+    EXPECT_NE(R.message().find("max abs error nan"), std::string::npos)
+        << M->Name << ": " << R.message();
+  }
 }
 
 TEST(SgemmErrors, RejectsEmptyProblem) {

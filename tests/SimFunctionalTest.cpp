@@ -16,8 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 
 using namespace gpuperf;
 
@@ -409,6 +411,79 @@ TEST(SimFaults, FitsFreshAgreesWithTryAllocate) {
   ASSERT_TRUE(OneByte.tryAllocate(1).hasValue());
   EXPECT_FALSE(OneByte.tryAllocate(Space - 511).hasValue());
   EXPECT_FALSE(GlobalMemory(0).tryAllocate(Space - 255).hasValue());
+}
+
+// --- Device memory ----------------------------------------------------------------
+
+namespace {
+
+/// All bytes of \p GM are zero.
+bool allZero(const GlobalMemory &GM, uint64_t Addr, size_t Bytes) {
+  std::span<const uint8_t> Span = GM.bytes(Addr, Bytes);
+  return Span.size() == Bytes &&
+         std::all_of(Span.begin(), Span.end(), [](uint8_t B) { return !B; });
+}
+
+} // namespace
+
+TEST(GlobalMemoryImage, FreshImageReadsZero) {
+  const size_t Bytes = 64u << 20;
+  GlobalMemory GM(Bytes);
+  ASSERT_EQ(GM.size(), Bytes);
+  for (uint64_t Addr = 0; Addr < Bytes; Addr += 4096)
+    ASSERT_EQ(GM.load32(static_cast<uint32_t>(Addr)), 0u) << Addr;
+  EXPECT_EQ(GM.load32(static_cast<uint32_t>(Bytes - 4)), 0u);
+}
+
+TEST(GlobalMemoryImage, GrowthKeepsOldBytesAndZeroesTheTail) {
+  GlobalMemory GM(4096);
+  const uint32_t A = *GM.tryAllocate(1024);
+  for (uint32_t I = 0; I < 256; ++I)
+    GM.store32(A + 4 * I, 0x9e3779b9u * (I + 1));
+  const size_t OldSize = GM.size();
+  const uint32_t B = *GM.tryAllocate(3u << 20);
+  ASSERT_GT(GM.size(), OldSize);
+  for (uint32_t I = 0; I < 256; ++I)
+    EXPECT_EQ(GM.load32(A + 4 * I), 0x9e3779b9u * (I + 1));
+  EXPECT_TRUE(allZero(GM, OldSize, GM.size() - OldSize));
+  EXPECT_TRUE(allZero(GM, B, 3u << 20));
+}
+
+TEST(GlobalMemoryImage, CopyAndMoveKeepTheContents) {
+  GlobalMemory GM(1 << 16);
+  for (uint32_t Addr = 256; Addr < (1 << 16); Addr += 4)
+    GM.store32(Addr, Addr * 2654435761u);
+  auto Same = [](const GlobalMemory &X, const GlobalMemory &Y) {
+    std::span<const uint8_t> A = X.bytes(0, X.size());
+    std::span<const uint8_t> B = Y.bytes(0, Y.size());
+    return A.size() == B.size() && std::equal(A.begin(), A.end(), B.begin());
+  };
+  GlobalMemory Copy = GM;
+  EXPECT_TRUE(Same(Copy, GM));
+  GlobalMemory Assigned(0);
+  Assigned = GM;
+  EXPECT_TRUE(Same(Assigned, GM));
+  GlobalMemory Moved = std::move(Copy);
+  EXPECT_TRUE(Same(Moved, GM));
+  GlobalMemory MoveAssigned(0);
+  MoveAssigned = std::move(Assigned);
+  EXPECT_TRUE(Same(MoveAssigned, GM));
+}
+
+// bytes() carries no assert: the guard is the same in release builds.
+TEST(GlobalMemoryImage, SpanAccessorRejectsOutOfRangeSpans) {
+  GlobalMemory GM(4096);
+  EXPECT_EQ(GM.bytes(0, 4096).size(), 4096u);
+  EXPECT_EQ(GM.bytes(4092, 4).size(), 4u);
+  EXPECT_EQ(GM.bytes(4096, 0).size(), 0u);
+  EXPECT_TRUE(GM.bytes(4093, 4).empty());
+  EXPECT_TRUE(GM.bytes(0, 4097).empty());
+  EXPECT_TRUE(GM.bytes(4097, 0).empty());
+  EXPECT_TRUE(GM.bytes(1, SIZE_MAX).empty()) << "Addr + Bytes must not wrap";
+  EXPECT_TRUE(GM.bytes(UINT64_MAX, 1).empty());
+  const GlobalMemory &Const = GM;
+  EXPECT_TRUE(Const.bytes(4093, 4).empty());
+  EXPECT_EQ(Const.bytes(8, 16).data(), GM.bytes(8, 16).data());
 }
 
 // --- Launch accounting ------------------------------------------------------------

@@ -15,9 +15,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "asmtool/Assembler.h"
+#include "asmtool/NotationTuner.h"
 #include "sim/Timing.h"
 #include "support/Format.h"
+#include "support/LittleEndian.h"
 #include "sim/Launcher.h"
+#include "sim/Profile.h"
 #include "ubench/MixBench.h"
 #include "ubench/OpPattern.h"
 #include "ubench/PerfDatabase.h"
@@ -441,5 +444,156 @@ TEST(IssueCheckOrder, TrapsWhileIssuePipeOrPortBusy) {
                           "allocated (or a non-architectural predicate)"
                         : "PC 3 outside the kernel's 3 instructions (bad "
                           "branch target or missing EXIT)");
+  }
+}
+
+// --- Scheduler slot attribution, pinned ------------------------------------------
+
+namespace {
+
+/// Warps run 1 to 4 iterations of an LDS/FFMA loop (two-way bank
+/// conflicts on Fermi), then meet at two barriers: the last warp to
+/// arrive releases warps of every other scheduler, and warps sit at
+/// BRA and BAR (Control) while the pipes are busy.
+const char *UnevenLoopBody = "  S2R R0, SR_TID.X\n"
+                             "  SHR R2, R0, 5\n"
+                             "  LOP.AND R2, R2, 3\n"
+                             "  IADD R2, R2, 1\n"
+                             "  SHL R1, R0, 3\n"
+                             "  LOP.AND R1, R1, 4095\n"
+                             "loop:\n"
+                             "  LDS R4, [R1]\n"
+                             "  FFMA R5, R4, R4, R5\n"
+                             "  FFMA R6, R5, R4, R6\n"
+                             "  FFMA R8, R4, R4, R8\n"
+                             "  IADD R2, R2, -1\n"
+                             "  ISETP.NE P0, R2, RZ\n"
+                             "  @P0 BRA loop\n"
+                             "  BAR.SYNC\n"
+                             "  FFMA R9, R5, R6, R8\n"
+                             "  STS [R1], R9\n"
+                             "  BAR.SYNC\n"
+                             "  LDS.64 R10, [R1]\n"
+                             "  FFMA R12, R10, R11, R12\n"
+                             "  EXIT\n";
+
+/// Independent FFMAs whose sources share a register bank, split by an
+/// unconditional branch: the issue pipe (Kepler) or the dispatch ports
+/// (Fermi) stay busy, warps that have not issued yet tie on LastIssue,
+/// and a Control instruction reaches the head of a busy scheduler.
+const char *IssueBoundBody = "  FFMA R1, R0, R4, R8\n"
+                             "  FFMA R2, R0, R4, R8\n"
+                             "  FFMA R3, R0, R4, R8\n"
+                             "  BRA next\n"
+                             "next:\n"
+                             "  FFMA R1, R0, R4, R8\n"
+                             "  FFMA R2, R1, R4, R8\n"
+                             "  FFMA R3, R0, R4, R8\n"
+                             "  EXIT\n";
+
+/// The stats and the per-PC profile of one block of \p Threads threads
+/// running \p Body on \p M (notations of quality \p Q on Kepler), one
+/// line per PC that issued or was charged a slot.
+std::string slotRecord(const MachineDesc &M, const char *Body, int Threads,
+                       NotationQuality Q) {
+  auto Mod = assembleKernelBody(M.Generation, Body, 4096);
+  if (!Mod)
+    return Mod.message();
+  Kernel *K = Mod->findKernel("k");
+  if (M.Generation == GpuGeneration::Kepler)
+    tuneNotations(M, *K, Q);
+  GlobalMemory GM;
+  KernelProfile Profile;
+  LaunchConfig Config;
+  Config.Dims.BlockX = Threads;
+  Config.Profile = &Profile;
+  auto R = launchKernel(M, *K, Config, GM);
+  if (!R)
+    return R.message();
+  const SimStats &S = R->Stats;
+  auto U = [](uint64_t V) { return static_cast<unsigned long long>(V); };
+  std::string Out = formatString(
+      "cycles %llu insts %llu replays %llu dual %llu conflicts %llu "
+      "barriers %llu idle %llu\nslots",
+      U(S.Cycles), U(S.WarpInstsIssued), U(S.ReplayPenalties),
+      U(S.DualIssues), U(S.SharedConflictEvents), U(S.BarrierWaits),
+      U(S.IdleCycles));
+  for (size_t Use = 0; Use < NumSlotUses; ++Use)
+    Out += formatString(" %llu", U(S.Breakdown.Slots[Use]));
+  Out += "\n";
+  auto Line = [&](const std::string &Name, const PCCounters &C) {
+    if (C.Issues == 0 && C.Replays == 0 && C.lostSlots() == 0)
+      return;
+    Out += formatString("%s: issues %llu dual %llu replays %llu lost",
+                        Name.c_str(), U(C.Issues), U(C.DualIssues),
+                        U(C.Replays));
+    for (size_t Use = 1; Use < NumSlotUses; ++Use)
+      Out += formatString(" %llu", U(C.StallSlots[Use]));
+    Out += "\n";
+  };
+  for (size_t PC = 0; PC < Profile.codeSize(); ++PC)
+    Line(formatString("%zu", PC), Profile.at(PC));
+  Line("nopc", Profile.noPC());
+  return Out;
+}
+
+} // namespace
+
+// Every slot's cause and PC, pinned to values recorded before the
+// scheduler decided port- and pipe-blocked slots without checking each
+// warp: warps that have not issued tie on LastIssue, barriers are
+// released by another scheduler's warp, Control instructions sit at the
+// head while the pipe is busy, and Kepler notations stall the oldest
+// warp. The record is hashed; its first two lines are also compared as
+// text, so a failure shows which counters moved.
+TEST(SchedulerSlots, StatsAndProfileMatchRecordedValues) {
+  using Q = NotationQuality;
+  struct Case {
+    const MachineDesc *M;
+    const char *Body;
+    int Threads;
+    Q Quality;
+    const char *Stats;
+    uint64_t Hash;
+  };
+  const Case Cases[] = {
+      {&gtx580(), UnevenLoopBody, 384, Q::Tuned,
+       "cycles 664 insts 366 replays 0 dual 0 conflicts 42 barriers 24 "
+       "idle 319\nslots 366 206 0 455 129 148 24",
+       0x57b8434fb627df24ull},
+      {&gtx680(), UnevenLoopBody, 384, Q::Tuned,
+       "cycles 370 insts 366 replays 0 dual 64 conflicts 0 barriers 24 "
+       "idle 178\nslots 302 704 3 11 66 388 6",
+       0xca32a473e90180a6ull},
+      {&gtx680(), UnevenLoopBody, 384, Q::Heuristic,
+       "cycles 410 insts 366 replays 412 dual 51 conflicts 0 barriers 24 "
+       "idle 214\nslots 315 762 7 48 54 438 16",
+       0x7ad4bb41a7fc0aecull},
+      {&gtx680(), UnevenLoopBody, 384, Q::None,
+       "cycles 593 insts 366 replays 0 dual 0 conflicts 0 barriers 24 "
+       "idle 249\nslots 366 1082 7 291 0 612 14",
+       0xae64c20fb8e01d03ull},
+      {&gtx580(), IssueBoundBody, 512, Q::Tuned,
+       "cycles 115 insts 128 replays 0 dual 0 conflicts 0 barriers 0 "
+       "idle 2\nslots 128 2 0 99 0 0 1",
+       0x1aab7803bec71cf5ull},
+      {&gtx680(), IssueBoundBody, 512, Q::Tuned,
+       "cycles 44 insts 128 replays 0 dual 47 conflicts 0 barriers 0 "
+       "idle 0\nslots 81 11 17 59 0 0 8",
+       0xfef185658d1832efull},
+      {&gtx680(), IssueBoundBody, 96, Q::Tuned,
+       "cycles 24 insts 24 replays 4 dual 8 conflicts 0 barriers 0 "
+       "idle 13\nslots 16 43 1 4 0 0 32",
+       0x9111822a7fae4605ull},
+  };
+  for (const Case &C : Cases) {
+    const std::string R = slotRecord(*C.M, C.Body, C.Threads, C.Quality);
+    SCOPED_TRACE(formatString("%s, %d threads, %s notations\n%s",
+                              C.M->Name.c_str(), C.Threads,
+                              notationQualityName(C.Quality), R.c_str()));
+    EXPECT_EQ(R.substr(0, R.find('\n', R.find('\n') + 1)), C.Stats);
+    Fnv1a H;
+    H.bytes(R.data(), R.size());
+    EXPECT_EQ(H.value(), C.Hash);
   }
 }
