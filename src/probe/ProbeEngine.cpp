@@ -30,8 +30,9 @@ int64_t ProbeEventRecord::get(ProbeField F) const {
 
 ProbeEngine::ProbeEngine(std::vector<ProbeSpec> S) : Specs(std::move(S)) {
   States.resize(Specs.size());
-  for (const ProbeSpec &P : Specs)
-    Wanted[static_cast<size_t>(P.Event)] = true;
+  for (size_t I = 0; I < Specs.size(); ++I)
+    Listeners[static_cast<size_t>(Specs[I].Event)].push_back(
+        static_cast<uint32_t>(I));
 }
 
 namespace {
@@ -118,10 +119,8 @@ int64_t foldInput(const ProbeSpec &S, const ProbeEventRecord &R) {
 } // namespace
 
 void ProbeEngine::fire(ProbeEvent E, const ProbeEventRecord &R) {
-  for (size_t I = 0; I < Specs.size(); ++I) {
+  for (uint32_t I : Listeners[static_cast<size_t>(E)]) {
     const ProbeSpec &S = Specs[I];
-    if (S.Event != E)
-      continue;
     bool Pass = true;
     for (const ProbeFilter &F : S.Filters)
       if (!matchCmp(F.Cmp, R.get(F.Field), F.Value)) {

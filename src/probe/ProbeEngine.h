@@ -31,6 +31,7 @@
 
 #include "probe/ProbeSpec.h"
 
+#include <array>
 #include <map>
 #include <string>
 #include <vector>
@@ -98,7 +99,7 @@ public:
   bool enabled() const { return !Specs.empty(); }
   /// True when some spec listens to \p E.
   bool wants(ProbeEvent E) const {
-    return Wanted[static_cast<size_t>(E)];
+    return !Listeners[static_cast<size_t>(E)].empty();
   }
 
   /// Folds one event into every spec that listens to \p E and passes its
@@ -132,7 +133,8 @@ public:
 private:
   std::vector<ProbeSpec> Specs;
   std::vector<ProbeState> States; ///< Parallel to Specs.
-  bool Wanted[NumProbeEvents] = {};
+  /// Per event, the indices of the specs that name it, in spec order.
+  std::array<std::vector<uint32_t>, NumProbeEvents> Listeners;
 };
 
 /// A standalone --probe-out record: schema_version, record:"probes",

@@ -66,7 +66,7 @@ public:
       Trace->record(E, R);
     if (Profile)
       Profile->record(E, R);
-    if (Probes && Probes->wants(E))
+    if (Probes)
       Probes->fire(E, R);
   }
   /// Ends the wave begun last (a trapped wave's events are kept).

@@ -13,6 +13,10 @@
 #include "support/Format.h"
 #include "support/Json.h"
 
+#include <array>
+#include <charconv>
+#include <cstring>
+
 using namespace gpuperf;
 
 //===----------------------------------------------------------------------===//
@@ -34,7 +38,8 @@ void TraceRecorder::push(Ring &R, const TraceEvent &E) {
     return;
   }
   R.Buf[R.Next] = E;
-  R.Next = (R.Next + 1) % RingCapacity;
+  if (++R.Next == RingCapacity)
+    R.Next = 0;
   R.Wrapped = true;
   ++Dropped;
 }
@@ -115,17 +120,75 @@ std::vector<TraceEvent> TraceRecorder::take() {
 // Chrome trace_event JSON
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Copies \p S to \p P; returns the end of the copy.
+char *put(char *P, std::string_view S) {
+  std::memcpy(P, S.data(), S.size());
+  return P + S.size();
+}
+
+/// Writes \p V's decimal digits at \p P, before \p End; returns their end.
+template <typename Int> char *putInteger(char *P, char *End, Int V) {
+  return std::to_chars(P, End, V).ptr;
+}
+
+/// Longest event tail after the prefix, separators included: ts and dur
+/// (20 digits each), pid (6), tid (5) and the closing brace; an issue
+/// adds the args object with pc and block (11 each) and warp (3).
+constexpr size_t MaxStallTail = 20 + 7 + 20 + 7 + 6 + 7 + 5 + 1;
+constexpr size_t MaxIssueTail = MaxStallTail + 14 + 11 + 9 + 11 + 8 + 3 + 1;
+
+} // namespace
+
 std::string gpuperf::chromeTraceJson(const SimTrace &Trace,
                                      const MachineDesc &M) {
+  // Each event starts with a prefix fixed by its (IsStall, Code) pair,
+  //   {"name":"<mnemonic|slot cause>","cat":"issue|stall","ph":"X","ts":
+  // rendered once per call through a JsonWriter; the event is then that
+  // prefix, its integers and constant separators, handed to the writer
+  // as one value.
+  std::array<std::string, 256> Prefixes[2];
+  auto PrefixOf = [&](const TraceEvent &E) -> const std::string & {
+    std::string &P = Prefixes[E.IsStall != 0][E.Code];
+    if (!P.empty())
+      return P;
+    JsonWriter PW;
+    PW.beginObject();
+    if (E.IsStall) {
+      PW.kv("name", slotUseName(static_cast<SlotUse>(E.Code)));
+      PW.kv("cat", "stall");
+    } else {
+      PW.kv("name", opcodeMnemonic(static_cast<Opcode>(E.Code)));
+      PW.kv("cat", "issue");
+    }
+    PW.kv("ph", "X");
+    PW.key("ts");
+    P = PW.take();
+    return P;
+  };
+
+  // One pass for the SM count, the longest prefix and a bound on the
+  // output size, so the output is never regrown; the bound's untouched
+  // tail costs no memory.
+  int MaxSM = -1;
+  size_t MaxPrefix = 0;
+  size_t Bytes = 256 + M.Name.size();
+  for (const TraceEvent &E : Trace.Events) {
+    MaxSM = E.SM > MaxSM ? E.SM : MaxSM;
+    size_t Prefix = PrefixOf(E).size();
+    MaxPrefix = Prefix > MaxPrefix ? Prefix : MaxPrefix;
+    Bytes += 1 + Prefix + (E.IsStall ? MaxStallTail : MaxIssueTail);
+  }
+  Bytes += static_cast<size_t>(MaxSM + 1) * (128 + M.Name.size());
+
   JsonWriter W;
+  W.reserve(Bytes);
   W.beginObject();
   W.key("traceEvents");
   W.beginArray();
 
   // Metadata: name the processes (SMs) and scheduler tracks.
-  int MaxSM = -1;
-  for (const TraceEvent &E : Trace.Events)
-    MaxSM = E.SM > MaxSM ? E.SM : MaxSM;
   for (int SM = 0; SM <= MaxSM; ++SM) {
     W.beginObject();
     W.kv("name", "process_name");
@@ -151,29 +214,31 @@ std::string gpuperf::chromeTraceJson(const SimTrace &Trace,
   W.endObject();
   W.endObject();
 
+  // Each event is written into one scratch buffer that holds the
+  // longest prefix and the longest tail.
+  std::string Event(MaxPrefix + MaxIssueTail, '\0');
+  char *const End = Event.data() + Event.size();
   for (const TraceEvent &E : Trace.Events) {
-    W.beginObject();
-    if (E.IsStall) {
-      W.kv("name", slotUseName(static_cast<SlotUse>(E.Code)));
-      W.kv("cat", "stall");
-    } else {
-      W.kv("name", opcodeMnemonic(static_cast<Opcode>(E.Code)));
-      W.kv("cat", "issue");
-    }
-    W.kv("ph", "X");
-    W.kv("ts", E.Cycle);
-    W.kv("dur", E.Dur);
-    W.kv("pid", static_cast<int>(E.SM));
-    W.kv("tid", static_cast<unsigned>(E.Track));
+    char *P = put(Event.data(), PrefixOf(E));
+    P = putInteger(P, End, E.Cycle);
+    P = put(P, ",\"dur\":");
+    P = putInteger(P, End, E.Dur);
+    P = put(P, ",\"pid\":");
+    P = putInteger(P, End, static_cast<int>(E.SM));
+    P = put(P, ",\"tid\":");
+    P = putInteger(P, End, static_cast<unsigned>(E.Track));
     if (!E.IsStall) {
-      W.key("args");
-      W.beginObject();
-      W.kv("pc", E.PC);
-      W.kv("block", E.BlockId);
-      W.kv("warp", static_cast<int>(E.WarpInBlock));
-      W.endObject();
+      P = put(P, ",\"args\":{\"pc\":");
+      P = putInteger(P, End, E.PC);
+      P = put(P, ",\"block\":");
+      P = putInteger(P, End, E.BlockId);
+      P = put(P, ",\"warp\":");
+      P = putInteger(P, End, static_cast<int>(E.WarpInBlock));
+      P = put(P, "}");
     }
-    W.endObject();
+    P = put(P, "}");
+    W.rawValue(
+        std::string_view(Event.data(), static_cast<size_t>(P - Event.data())));
   }
   W.endArray();
   W.kv("displayTimeUnit", "ns");

@@ -50,11 +50,21 @@ public:
   void value(double V, int Decimals = 6);
   void value(bool B);
 
+  /// Emits \p Json, one complete JSON value rendered by the caller, as
+  /// the next value: the separator, then the bytes as given.
+  void rawValue(std::string_view Json) {
+    separate();
+    Out.append(Json);
+  }
+
   /// Convenience: key + value in one call.
   template <typename T> void kv(std::string_view Name, T V) {
     key(Name);
     value(V);
   }
+
+  /// Reserves room for \p Bytes of output in total.
+  void reserve(size_t Bytes) { Out.reserve(Bytes); }
 
   const std::string &str() const { return Out; }
   std::string take() { return std::move(Out); }

@@ -256,6 +256,133 @@ TEST(ProbeEngineFold, WaveOffsetShiftsCycles) {
 }
 
 //===----------------------------------------------------------------------===//
+// Dispatch: each event reaches exactly the specs that name it
+//===----------------------------------------------------------------------===//
+
+/// Specs on different events, interleaved in file order, so dispatch
+/// must skip specs and still keep spec order.
+const char *const DispatchSpecs =
+    "probe lanes { event inst_issued; aggregation sum; value lanes; "
+    "key class }\n"
+    "probe gbytes { event mem_access; aggregation sum; value bytes; "
+    "key width; filter space == global }\n"
+    "probe dual { event inst_issued; aggregation count; key class; "
+    "filter dual == 1 }\n"
+    "probe exits { event warp_exit; aggregation max; value cycle; "
+    "key warp }\n";
+
+/// Fires a fixed mix of events into \p E: the three named by
+/// DispatchSpecs, and bank_conflict and slot_lost, which no spec names.
+/// \p Part selects every other event (0 or 1), or all of them (-1).
+void fireDispatchMix(ProbeEngine &E, int Part = -1) {
+  const ProbeEvent Kinds[] = {ProbeEvent::InstIssued, ProbeEvent::MemAccess,
+                              ProbeEvent::BankConflict,
+                              ProbeEvent::WarpExit, ProbeEvent::SlotLost};
+  for (int I = 0; I < 90; ++I) {
+    if (Part >= 0 && I % 2 != Part)
+      continue;
+    // Fields from a multiplicative hash of I, so they vary independently
+    // of the event kind.
+    uint64_t H = (static_cast<uint64_t>(I) + 1) * 0x9e3779b97f4a7c15ull;
+    ProbeEventRecord R;
+    R.PC = static_cast<int64_t>(H >> 59);
+    R.Class = static_cast<int64_t>((H >> 8) % 5);
+    R.Lanes = static_cast<int64_t>(1 + (H >> 13) % 32);
+    R.Dual = static_cast<int64_t>((H >> 19) & 1);
+    R.Space = static_cast<int64_t>((H >> 21) % 3);
+    R.Width = int64_t(4) << ((H >> 24) % 3);
+    R.Bytes = static_cast<int64_t>(128 * (1 + (H >> 27) % 4));
+    R.Warp = static_cast<int64_t>((H >> 31) % 6);
+    R.Cycle = 1000 + 37 * I - static_cast<int64_t>((H >> 35) % 50);
+    R.Serialization = 2;
+    R.Cause = 1;
+    R.Slots = 1;
+    E.fire(Kinds[I % 5], R);
+  }
+}
+
+std::string probesJson(const ProbeEngine &E) {
+  JsonWriter W;
+  E.writeProbesValue(W);
+  return W.take();
+}
+
+// Recorded at the commit before per-event dispatch, where fire() checked
+// every spec against every event.
+const char *const DispatchReport =
+    "probe lanes: event=inst_issued aggregation=sum count=18 value=309\n"
+    "  key float_math: count=2 value=16\n"
+    "  key int_math: count=3 value=59\n"
+    "  key int_mul_math: count=4 value=75\n"
+    "  key move: count=3 value=43\n"
+    "  key shared_mem: count=6 value=116\n"
+    "probe gbytes: event=mem_access aggregation=sum count=5 value=1920\n"
+    "  key b4: count=1 value=256\n"
+    "  key b8: count=2 value=768\n"
+    "  key b16: count=2 value=896\n"
+    "probe dual: event=inst_issued aggregation=count count=9\n"
+    "  key int_math: count=2\n"
+    "  key int_mul_math: count=2\n"
+    "  key move: count=1\n"
+    "  key shared_mem: count=4\n"
+    "probe exits: event=warp_exit aggregation=max count=18 value=4231\n"
+    "  key 0: count=3 value=3839\n"
+    "  key 1: count=3 value=3674\n"
+    "  key 2: count=4 value=4231\n"
+    "  key 3: count=3 value=3294\n"
+    "  key 4: count=2 value=3128\n"
+    "  key 5: count=3 value=4054\n";
+const char *const DispatchJson =
+    "{\"version\":1,\"lanes\":{\"event\":\"inst_issued\","
+    "\"aggregation\":\"sum\",\"count\":18,\"value\":309,"
+    "\"keys\":{\"float_math\":16,\"int_math\":59,\"int_mul_math\":75,"
+    "\"move\":43,\"shared_mem\":116}},\"gbytes\":{\"event\":\"mem_access\","
+    "\"aggregation\":\"sum\",\"count\":5,\"value\":1920,\"keys\":{\"b4\":256,"
+    "\"b8\":768,\"b16\":896}},\"dual\":{\"event\":\"inst_issued\","
+    "\"aggregation\":\"count\",\"count\":9,\"value\":9,"
+    "\"keys\":{\"int_math\":2,\"int_mul_math\":2,\"move\":1,"
+    "\"shared_mem\":4}},\"exits\":{\"event\":\"warp_exit\","
+    "\"aggregation\":\"max\",\"count\":18,\"value\":4231,\"keys\":{\"0\":3839,"
+    "\"1\":3674,\"2\":4231,\"3\":3294,\"4\":3128,\"5\":4054}}}";
+
+TEST(ProbeDispatch, OnlyNamingSpecsSeeEachEvent) {
+  ProbeEngine E(mustParse(DispatchSpecs));
+  EXPECT_TRUE(E.wants(ProbeEvent::InstIssued));
+  EXPECT_TRUE(E.wants(ProbeEvent::MemAccess));
+  EXPECT_TRUE(E.wants(ProbeEvent::WarpExit));
+  EXPECT_FALSE(E.wants(ProbeEvent::BankConflict));
+  EXPECT_FALSE(E.wants(ProbeEvent::SlotLost));
+  fireDispatchMix(E);
+  EXPECT_EQ(E.report(), DispatchReport);
+  EXPECT_EQ(probesJson(E), DispatchJson);
+}
+
+TEST(ProbeDispatch, ClonesAndCopiesDispatchTheSame) {
+  ProbeEngine Proto(mustParse(DispatchSpecs));
+  // Two per-SM clones, each fed half the events, merged into a third.
+  ProbeEngine Even = Proto.emptyClone(), Odd = Proto.emptyClone();
+  fireDispatchMix(Even, 0);
+  fireDispatchMix(Odd, 1);
+  ProbeEngine Merged = Proto.emptyClone();
+  Merged.merge(Even);
+  Merged.merge(Odd);
+  EXPECT_EQ(Merged.report(), DispatchReport);
+  EXPECT_EQ(probesJson(Merged), DispatchJson);
+
+  // A copied engine, and one copy-assigned, dispatch on their own.
+  ProbeEngine Copy = Proto;
+  fireDispatchMix(Copy);
+  EXPECT_EQ(Copy.report(), DispatchReport);
+  EXPECT_EQ(probesJson(Copy), DispatchJson);
+  ProbeEngine Assigned;
+  Assigned = Proto;
+  fireDispatchMix(Assigned);
+  EXPECT_EQ(probesJson(Assigned), DispatchJson);
+  // The prototype itself saw nothing.
+  EXPECT_EQ(Proto.state(0).Total.Count, 0u);
+}
+
+//===----------------------------------------------------------------------===//
 // Shadow probes against a real launch
 //===----------------------------------------------------------------------===//
 

@@ -408,6 +408,48 @@ TEST(Json, WriterProducesParsableOutput) {
   EXPECT_NE(W.str().find("0.500"), std::string::npos);
 }
 
+TEST(Json, RawValueTakesCommasLikeAnyValue) {
+  // First array element, between values, right after key(), and inside
+  // nested containers: rawValue separates exactly as value() does.
+  JsonWriter W;
+  W.beginArray();
+  W.rawValue("{\"a\":1}");
+  W.rawValue("2");
+  W.value(3);
+  W.rawValue("[4,5]");
+  W.beginObject();
+  W.key("k");
+  W.rawValue("\"v\"");
+  W.kv("n", 6);
+  W.key("raw");
+  W.rawValue("null");
+  W.key("inner");
+  W.beginArray();
+  W.rawValue("true");
+  W.beginArray();
+  W.rawValue("{}");
+  W.endArray();
+  W.rawValue("7");
+  W.endArray();
+  W.endObject();
+  W.rawValue("8");
+  W.endArray();
+  EXPECT_EQ(W.str(), "[{\"a\":1},2,3,[4,5],{\"k\":\"v\",\"n\":6,"
+                     "\"raw\":null,\"inner\":[true,[{}],7]},8]");
+  auto V = jsonParse(W.str());
+  ASSERT_TRUE(V.hasValue()) << V.message();
+  ASSERT_EQ(V->Items.size(), 6u);
+  EXPECT_EQ(V->Items[4].find("inner")->Items.size(), 3u);
+}
+
+TEST(Json, RawValueAloneIsTheDocument) {
+  JsonWriter W;
+  W.reserve(64);
+  W.rawValue("{\"x\":[1,2]}");
+  EXPECT_EQ(W.str(), "{\"x\":[1,2]}");
+  EXPECT_TRUE(jsonParse(W.str()).hasValue());
+}
+
 TEST(Json, WriterEmitsNullForNonFiniteDoubles) {
   JsonWriter W;
   W.beginObject();

@@ -8,22 +8,28 @@
 /// Smoke tests for the tracing layer end to end: a traced launch yields
 /// events that render to structurally valid Chrome trace_event JSON; the
 /// trace is bit-identical for every LaunchConfig::Jobs value; ring
-/// eviction degrades gracefully; and the gpurun CLI's --metrics/--trace/
-/// --profile surface behaves byte-identically across --jobs on the BR=6
-/// Kepler SGEMM (the acceptance property of the observability layer).
+/// eviction degrades gracefully and keeps exactly the newest events; the
+/// renderer's bytes equal a per-call JsonWriter oracle on real and
+/// hand-built traces; and the gpurun CLI's --metrics/--trace/--profile
+/// surface behaves byte-identically across --jobs on the BR=6 Kepler
+/// SGEMM (the acceptance property of the observability layer).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "kernelgen/Baselines.h"
 #include "kernelgen/SgemmGenerator.h"
+#include "isa/Opcode.h"
+#include "probe/ProbeEngine.h"
 #include "sim/Launcher.h"
 #include "support/Format.h"
 #include "support/Json.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include <sys/wait.h>
@@ -148,6 +154,238 @@ TEST(TraceSmoke, TinyRingEvictsOldestButStaysValid) {
   EXPECT_LT(Small.Events.size(), Big.Events.size());
   auto Parsed = jsonParse(chromeTraceJson(Small, M));
   EXPECT_TRUE(Parsed.hasValue()) << Parsed.message();
+}
+
+//===----------------------------------------------------------------------===//
+// Renderer bytes against a per-call oracle
+//===----------------------------------------------------------------------===//
+
+/// The Chrome trace renderer as it was before events were rendered from
+/// prefixes: one JsonWriter call per key and value. chromeTraceJson must
+/// produce exactly these bytes.
+std::string oracleChromeTraceJson(const SimTrace &Trace,
+                                  const MachineDesc &M) {
+  JsonWriter W;
+  W.beginObject();
+  W.key("traceEvents");
+  W.beginArray();
+
+  // Metadata: name the processes (SMs) and scheduler tracks.
+  int MaxSM = -1;
+  for (const TraceEvent &E : Trace.Events)
+    MaxSM = E.SM > MaxSM ? E.SM : MaxSM;
+  for (int SM = 0; SM <= MaxSM; ++SM) {
+    W.beginObject();
+    W.kv("name", "process_name");
+    W.kv("ph", "M");
+    W.kv("pid", SM);
+    W.key("args");
+    W.beginObject();
+    W.kv("name", formatString("%s SM %d", M.Name.c_str(), SM));
+    W.endObject();
+    W.endObject();
+  }
+
+  // Surface ring evictions inside the timeline itself (in addition to
+  // the top-level key below): viewers and scripts that read only
+  // traceEvents still learn the timeline is truncated.
+  W.beginObject();
+  W.kv("name", "dropped_events");
+  W.kv("ph", "M");
+  W.kv("pid", 0);
+  W.key("args");
+  W.beginObject();
+  W.kv("dropped_events", Trace.DroppedEvents);
+  W.endObject();
+  W.endObject();
+
+  for (const TraceEvent &E : Trace.Events) {
+    W.beginObject();
+    if (E.IsStall) {
+      W.kv("name", slotUseName(static_cast<SlotUse>(E.Code)));
+      W.kv("cat", "stall");
+    } else {
+      W.kv("name", opcodeMnemonic(static_cast<Opcode>(E.Code)));
+      W.kv("cat", "issue");
+    }
+    W.kv("ph", "X");
+    W.kv("ts", E.Cycle);
+    W.kv("dur", E.Dur);
+    W.kv("pid", static_cast<int>(E.SM));
+    W.kv("tid", static_cast<unsigned>(E.Track));
+    if (!E.IsStall) {
+      W.key("args");
+      W.beginObject();
+      W.kv("pc", E.PC);
+      W.kv("block", E.BlockId);
+      W.kv("warp", static_cast<int>(E.WarpInBlock));
+      W.endObject();
+    }
+    W.endObject();
+  }
+  W.endArray();
+  W.kv("displayTimeUnit", "ns");
+  W.kv("machine", M.Name);
+  W.kv("dropped_events", Trace.DroppedEvents);
+  W.endObject();
+  return W.take();
+}
+
+/// Asserts chromeTraceJson(Trace) equals the oracle byte for byte and
+/// parses.
+void expectOracleBytes(const SimTrace &Trace, const MachineDesc &M) {
+  std::string Got = chromeTraceJson(Trace, M);
+  std::string Want = oracleChromeTraceJson(Trace, M);
+  ASSERT_EQ(Got.size(), Want.size());
+  auto Diff = std::mismatch(Got.begin(), Got.end(), Want.begin());
+  EXPECT_TRUE(Diff.first == Got.end())
+      << "first difference at byte " << (Diff.first - Got.begin());
+  auto Parsed = jsonParse(Got);
+  EXPECT_TRUE(Parsed.hasValue()) << Parsed.message();
+}
+
+TEST(TraceRender, MatchesOracleOnLaunchTraces) {
+  for (const MachineDesc *M : {&gtx680(), &gtx580()}) {
+    SCOPED_TRACE(M->Name);
+    for (size_t Ring : {size_t(1) << 16, SimTrace().RingCapacity,
+                        size_t(16)}) {
+      SCOPED_TRACE(Ring);
+      SimTrace Trace = runTraced(*M, 1, Ring);
+      ASSERT_FALSE(Trace.Events.empty());
+      if (Ring == 16) {
+        EXPECT_GT(Trace.DroppedEvents, 0u);
+      }
+      expectOracleBytes(Trace, *M);
+    }
+  }
+}
+
+TEST(TraceRender, MatchesOracleOnEmptyTrace) {
+  SimTrace Empty;
+  EXPECT_EQ(chromeTraceJson(Empty, gtx680()),
+            "{\"traceEvents\":[{\"name\":\"dropped_events\",\"ph\":\"M\","
+            "\"pid\":0,\"args\":{\"dropped_events\":0}}],"
+            "\"displayTimeUnit\":\"ns\",\"machine\":\"GTX680\","
+            "\"dropped_events\":0}");
+  expectOracleBytes(Empty, gtx680());
+}
+
+TEST(TraceRender, MatchesOracleOnEveryCode) {
+  // Every slot cause as a stall and every opcode as an issue, spread
+  // over SMs so the metadata covers several processes.
+  SimTrace Trace;
+  Trace.DroppedEvents = 3;
+  for (size_t U = 0; U < NumSlotUses; ++U) {
+    TraceEvent E;
+    E.Cycle = 10 * U;
+    E.Dur = U + 1;
+    E.SM = static_cast<int16_t>(U % 3);
+    E.Track = static_cast<uint16_t>(SchedTrackBase + U % 4);
+    E.IsStall = 1;
+    E.Code = static_cast<uint8_t>(U);
+    Trace.Events.push_back(E);
+  }
+  for (size_t Op = 0; Op < static_cast<size_t>(Opcode::NumOpcodes); ++Op) {
+    TraceEvent E;
+    E.Cycle = 7 * Op;
+    E.PC = static_cast<int32_t>(Op);
+    E.BlockId = static_cast<int32_t>(Op / 4);
+    E.SM = static_cast<int16_t>(Op % 5);
+    E.Track = static_cast<uint16_t>(Op % 48);
+    E.Code = static_cast<uint8_t>(Op);
+    E.WarpInBlock = static_cast<uint8_t>(Op % 8);
+    Trace.Events.push_back(E);
+  }
+  expectOracleBytes(Trace, gtx580());
+}
+
+TEST(TraceRender, MatchesOracleOnFieldExtremes) {
+  constexpr uint64_t U64Max = std::numeric_limits<uint64_t>::max();
+  constexpr int32_t I32Min = std::numeric_limits<int32_t>::min();
+  SimTrace Trace;
+  Trace.DroppedEvents = U64Max;
+  for (uint8_t IsStall : {0, 1})
+    for (int32_t Small : {I32Min, -1}) {
+      TraceEvent E;
+      E.Cycle = U64Max;
+      E.Dur = U64Max;
+      E.PC = Small;
+      E.BlockId = Small;
+      E.SM = 32767;
+      E.Track = 65535;
+      E.IsStall = IsStall;
+      E.Code = static_cast<uint8_t>(Opcode::FFMA);
+      E.WarpInBlock = 255;
+      Trace.Events.push_back(E);
+    }
+  // And the other end of every field.
+  TraceEvent Zero;
+  Zero.Cycle = 0;
+  Zero.Dur = 0;
+  Zero.PC = std::numeric_limits<int32_t>::max();
+  Trace.Events.push_back(Zero);
+  std::string Json = chromeTraceJson(Trace, gtx680());
+  EXPECT_NE(Json.find("\"ts\":18446744073709551615,"
+                      "\"dur\":18446744073709551615,\"pid\":32767,"
+                      "\"tid\":65535,\"args\":{\"pc\":-2147483648,"
+                      "\"block\":-2147483648,\"warp\":255}}"),
+            std::string::npos);
+  expectOracleBytes(Trace, gtx680());
+}
+
+//===----------------------------------------------------------------------===//
+// Ring eviction in the recorder
+//===----------------------------------------------------------------------===//
+
+TEST(TraceRecorderRing, KeepsNewestEventsOldestFirst) {
+  // Two warps and one scheduler, fed directly: warp 0 gets N issues,
+  // warp 1 gets N + 2, and the scheduler N lost-slot spans too far
+  // apart to coalesce. Each ring keeps its newest Capacity events.
+  for (size_t Capacity : {size_t(1), size_t(3)})
+    for (int N = 0; N <= 8; ++N) {
+      SCOPED_TRACE(formatString("capacity %zu, %d events", Capacity, N));
+      TraceRecorder Rec(Capacity);
+      Rec.beginWave(/*NumWarps=*/2, /*NumSchedulers=*/1);
+      int Counts[2] = {N, N + 2};
+      for (int I = 0; I < N + 2; ++I)
+        for (int Warp : {0, 1}) {
+          if (I >= Counts[Warp])
+            continue;
+          ProbeEventRecord R;
+          R.Cycle = 10 * I + Warp;
+          R.PC = I;
+          R.WarpSlot = Warp;
+          R.Op = static_cast<int64_t>(Opcode::FFMA);
+          Rec.record(ProbeEvent::InstIssued, R);
+        }
+      for (int I = 0; I < N; ++I) {
+        ProbeEventRecord R;
+        R.Cycle = 100 * I;
+        R.Slots = 1;
+        R.Scheduler = 0;
+        R.Cause = static_cast<int64_t>(SlotUse::Barrier);
+        Rec.record(ProbeEvent::SlotLost, R);
+      }
+      std::vector<TraceEvent> Got = Rec.take();
+
+      std::vector<uint64_t> Want; // Track-major, oldest first.
+      uint64_t WantDropped = 0;
+      for (int Warp : {0, 1}) {
+        int Kept = std::min<int>(Counts[Warp], static_cast<int>(Capacity));
+        WantDropped += static_cast<uint64_t>(Counts[Warp] - Kept);
+        for (int I = Counts[Warp] - Kept; I < Counts[Warp]; ++I)
+          Want.push_back(static_cast<uint64_t>(10 * I + Warp));
+      }
+      int Kept = std::min<int>(N, static_cast<int>(Capacity));
+      WantDropped += static_cast<uint64_t>(N - Kept);
+      for (int I = N - Kept; I < N; ++I)
+        Want.push_back(static_cast<uint64_t>(100 * I));
+
+      ASSERT_EQ(Got.size(), Want.size());
+      for (size_t I = 0; I < Got.size(); ++I)
+        EXPECT_EQ(Got[I].Cycle, Want[I]) << "event " << I;
+      EXPECT_EQ(Rec.dropped(), WantDropped);
+    }
 }
 
 //===----------------------------------------------------------------------===//
