@@ -7,6 +7,7 @@
 #include "sgemm/SgemmRunner.h"
 
 #include "sgemm/Reference.h"
+#include "sim/ValueOblivious.h"
 #include "support/Format.h"
 #include "support/MathUtils.h"
 #include "support/Rng.h"
@@ -84,7 +85,13 @@ gpuperf::runSgemmConfig(const MachineDesc &M, SgemmKernelConfig Cfg,
     return ER::error(KernelOrErr.message());
   Kernel K = KernelOrErr.take();
 
-  auto Operands = makeSgemmOperands(Cfg, Problem, Options.Seed);
+  // Nothing reads a timing-only launch's values, so a kernel whose
+  // timing cannot depend on them needs none.
+  const bool TimingOnly =
+      !Options.Verify && !proveValueOblivious(K).failed();
+  auto Operands = makeSgemmOperands(
+      Cfg, Problem,
+      TimingOnly ? std::nullopt : std::optional<uint64_t>(Options.Seed));
   if (!Operands)
     return ER::error(Operands.message());
   GlobalMemory &GM = Operands->GM;
@@ -104,6 +111,7 @@ gpuperf::runSgemmConfig(const MachineDesc &M, SgemmKernelConfig Cfg,
                    floatBits(Problem.Beta)};
   Launch.Mode = Options.Mode;
   Launch.Jobs = Options.Jobs;
+  Launch.TimingOnly = TimingOnly;
   Launch.Probes = Options.Probes;
 
   auto LR = launchKernel(M, K, Launch, GM);
@@ -153,7 +161,8 @@ gpuperf::runSgemmConfig(const MachineDesc &M, SgemmKernelConfig Cfg,
 
 Expected<SgemmOperands>
 gpuperf::makeSgemmOperands(const SgemmKernelConfig &Cfg,
-                           const SgemmProblem &Problem, uint64_t Seed) {
+                           const SgemmProblem &Problem,
+                           std::optional<uint64_t> Seed) {
   using ER = Expected<SgemmOperands>;
   const bool TA = transA(Cfg.Variant), TB = transB(Cfg.Variant);
   SgemmOperands Out;
@@ -170,7 +179,9 @@ gpuperf::makeSgemmOperands(const SgemmKernelConfig &Cfg,
   Out.GM = GlobalMemory((Elems[0] + Elems[1] + Elems[2]) * 4 + (1 << 16));
   for (int I = 0; I < 3; ++I)
     Out.Addr[I] = Out.GM.allocate(Elems[I] * 4);
-  Rng R(Seed);
+  if (!Seed)
+    return Out;
+  Rng R(*Seed);
   fillRandom(Out.GM, Out.Addr[0], Cfg.Lda, TA ? Problem.K : Problem.M,
              TA ? Problem.M : Problem.K, R);
   fillRandom(Out.GM, Out.Addr[1], Cfg.Ldb, TB ? Problem.N : Problem.K,

@@ -14,6 +14,14 @@
 /// handle edges with predication; padding exercises the same code paths
 /// at equivalent cost).
 ///
+/// Operands are filled from the RNG only when a value can matter: under
+/// Verify, or for a kernel that proveValueOblivious (sim/ValueOblivious.h)
+/// rejects. Otherwise nothing reads C and the kernel's timing provably
+/// ignores the values, so the operands are allocated (the bounds checks
+/// see the same allocation) but left zero, and the launch is
+/// LaunchConfig::TimingOnly; every statistic and observation is
+/// bit-identical to a filled, valued launch.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GPUPERF_SGEMM_SGEMMRUNNER_H
@@ -22,6 +30,8 @@
 #include "kernelgen/Baselines.h"
 #include "kernelgen/SgemmGenerator.h"
 #include "sim/Launcher.h"
+
+#include <optional>
 
 namespace gpuperf {
 
@@ -52,7 +62,9 @@ struct SgemmRunResult {
 struct SgemmRunOptions {
   SimMode Mode = SimMode::ProjectOneWave;
   bool Verify = false; ///< Requires Mode == Full.
-  uint64_t Seed = 1;   ///< Matrix-content RNG seed.
+  /// Matrix-content RNG seed, used when the operands are filled (see
+  /// the file comment).
+  uint64_t Seed = 1;
   /// Threads simulating SMs concurrently in Full mode (see
   /// LaunchConfig::Jobs); results are bit-identical for every value.
   int Jobs = 1;
@@ -72,13 +84,13 @@ struct SgemmOperands {
 
 /// Allocates the operands of \p Problem for \p Cfg, whose shape fields
 /// (M, N, K, Lda, Ldb, Ldc, Variant) are already padded as runSgemmConfig
-/// pads them, and fills the true region of A and B, and of C when Beta
-/// is nonzero, from Rng(\p Seed) column by column; the rest reads zero.
-/// Fails before any memory exists when the matrices do not fit the
-/// 32-bit device space.
+/// pads them. With a \p Seed, fills the true region of A and B, and of C
+/// when Beta is nonzero, from Rng(*\p Seed) column by column; the rest,
+/// and everything without a seed, reads zero. Fails before any memory
+/// exists when the matrices do not fit the 32-bit device space.
 Expected<SgemmOperands> makeSgemmOperands(const SgemmKernelConfig &Cfg,
                                           const SgemmProblem &Problem,
-                                          uint64_t Seed);
+                                          std::optional<uint64_t> Seed);
 
 /// Runs \p Problem with implementation \p Impl on machine \p M.
 Expected<SgemmRunResult> runSgemm(const MachineDesc &M, SgemmImpl Impl,

@@ -253,10 +253,12 @@ ExecEffects Executor::execute(const Instruction &I, WarpContext &W,
       Addrs[NumAddrs++] = Addr;
     }
     // Second pass: move the words of the lanes that passed, in the same
-    // order, so a faulting access keeps the earlier lanes' effects.
+    // order, so a faulting access keeps the earlier lanes' effects. A
+    // timing-only executor moves none.
+    const int NumMoved = TimingOnly ? 0 : NumAddrs;
     uint8_t *SharedBytes = Shared.data();
     uint32_t Lanes = Mask;
-    for (int Idx = 0; Idx < NumAddrs; ++Idx, Lanes &= Lanes - 1) {
+    for (int Idx = 0; Idx < NumMoved; ++Idx, Lanes &= Lanes - 1) {
       const int Lane = std::countr_zero(Lanes);
       for (int Word = 0; Word < Words; ++Word) {
         const int64_t A = Addrs[Idx] + 4 * Word;
@@ -306,6 +308,8 @@ ExecEffects Executor::execute(const Instruction &I, WarpContext &W,
     }
     return Fx;
   }
+  if (TimingOnly && Class == OpClass::FloatMath)
+    return Fx;
 
   const uint32_t *A = W.readRow(I.Src[0]);
   uint32_t ImmRow[WarpSize];

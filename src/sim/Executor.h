@@ -83,11 +83,20 @@ double sharedSerialization(const int64_t *Addrs, int NumAddrs, int Width,
 /// Global memory is accessed through a GlobalMemoryView, so the same
 /// executor code serves both the serial path (direct view) and the
 /// parallel per-SM path (view over a private write overlay).
+///
+/// A \p TimingOnly executor computes no FFMA, FADD or FMUL result and
+/// moves no word of a load or store; it still computes every address,
+/// raises every trap, and reports the same bank serialization and
+/// coalescing. Its effects equal a valued executor's only for a kernel
+/// that proveValueOblivious (sim/ValueOblivious.h) accepts, and only the
+/// launcher decides to use one.
 class Executor {
 public:
   Executor(const MachineDesc &M, GlobalMemoryView Global,
-           const std::vector<uint32_t> &Params, const LaunchDims &Dims)
-      : M(M), Global(Global), Params(Params), Dims(Dims) {}
+           const std::vector<uint32_t> &Params, const LaunchDims &Dims,
+           bool TimingOnly = false)
+      : M(M), Global(Global), Params(Params), Dims(Dims),
+        TimingOnly(TimingOnly) {}
 
   /// Executes \p I for warp \p W whose block is \p BlockIdxLinear
   /// (linearized ctaid) with shared memory \p Shared. Advances nothing;
@@ -100,6 +109,7 @@ private:
   GlobalMemoryView Global;
   const std::vector<uint32_t> &Params;
   const LaunchDims &Dims;
+  bool TimingOnly;
 };
 
 } // namespace gpuperf

@@ -6,6 +6,7 @@
 
 #include "sim/Launcher.h"
 
+#include "sim/ValueOblivious.h"
 #include "support/Format.h"
 #include "support/MathUtils.h"
 #include "support/ThreadPool.h"
@@ -108,7 +109,9 @@ Expected<LaunchResult> gpuperf::launchKernel(const MachineDesc &M,
         K.Name.c_str(), occupancyLimitName(Occ.Limit), Res.RegsPerThread,
         Res.SharedBytesPerBlock, Res.ThreadsPerBlock));
 
-  Executor Exec(M, Global, Config.Params, Dims);
+  const bool TimingOnly =
+      Config.TimingOnly && !proveValueOblivious(K).failed();
+  Executor Exec(M, Global, Config.Params, Dims, TimingOnly);
 
   const int WaveWarps = Occ.ActiveBlocks * Dims.warpsPerBlock();
   const uint64_t Watchdog =
@@ -211,7 +214,7 @@ Expected<LaunchResult> gpuperf::launchKernel(const MachineDesc &M,
     parallelFor(Jobs, PerSMBlocks.size(), [&](size_t Idx) {
       SMOutcome &Out = Outcomes[Idx];
       Executor SMExec(M, GlobalMemoryView(Global, Out.Overlay),
-                      Config.Params, Dims);
+                      Config.Params, Dims, TimingOnly);
       runSMWaves(M, K, SMExec, Dims, PerSMBlocks[Idx], Occ.ActiveBlocks,
                  Watchdog, Sinks, Out);
     });

@@ -57,6 +57,14 @@ struct LaunchConfig {
   /// Like the rest of the launch API this assumes the CUDA contract that
   /// blocks of one launch do not communicate through global memory.
   int Jobs = 1;
+  /// Set when the caller reads only the launch's timing -- the result,
+  /// the trap and the observations -- and never the values it leaves in
+  /// global memory. When the kernel passes proveValueOblivious
+  /// (sim/ValueOblivious.h), the launch then skips the float math and
+  /// the data moves of loads and stores (see Executor), with the same
+  /// result, trap and observations as a valued launch; otherwise the
+  /// field is ignored, so it can never change what a caller sees.
+  bool TimingOnly = false;
   /// The observation sinks. Each one that is set (a probe engine also
   /// needs probes) receives the simulator's one event stream through a
   /// per-SM observer set (sim/Observers.h), merged in SM index order

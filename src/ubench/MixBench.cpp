@@ -135,6 +135,7 @@ double gpuperf::measureThroughput(const MachineDesc &M, const Kernel &K,
   Config.Dims.GridX = Cfg.BlocksPerSM * M.NumSMs;
   Config.Mode = SimMode::ProjectOneWave;
   Config.MaxResidentBlocksOverride = Cfg.BlocksPerSM;
+  Config.TimingOnly = true; // Only the stats are read.
   auto R = launchKernel(M, K, Config, GM);
   if (!R.hasValue()) {
     std::fprintf(stderr, "microbenchmark launch failed: %s\n",
