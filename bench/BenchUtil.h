@@ -7,9 +7,11 @@
 /// \file
 /// Shared bench plumbing: section headers, the common command line
 /// (--jobs/--json/--cache/--no-cache), machine-readable run metrics, and
-/// a parallel sweep helper. Every figure/table bench constructs one
+/// the one sweep runner. Every figure/table bench constructs one
 /// BenchRun so the whole suite speaks the same flags and
-/// tools/run_benches.sh can collect uniform JSON.
+/// tools/run_benches.sh can collect uniform JSON. Crash safety comes
+/// from the PerfDatabase journal: a killed bench re-run with the same
+/// --cache serves every acknowledged measurement from it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +37,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -53,7 +54,8 @@ inline void benchPrint(const std::string &Text) {
 
 /// Per-bench run context: parses the shared flags, times the run, and on
 /// destruction emits a one-line JSON metrics record when --json was
-/// given. Construct exactly one at the top of main().
+/// given, then exits 1 if any recorded sweep left a point incomplete.
+/// Construct exactly one at the top of main().
 ///
 /// Flags:
 ///   --jobs N     worker threads for sweeps/launches (0 = one per
@@ -71,12 +73,6 @@ inline void benchPrint(const std::string &Text) {
 ///                main-loop ordering for the generated kernels the bench
 ///                measures: the fixed drip interleave (default) or the
 ///                kernelgen list scheduler
-///   --checkpoint PATH
-///                journal completed sweep points to PATH as they finish;
-///                adds a "sweeps" object to the --json record
-///   --resume     with --checkpoint: serve points already in PATH from
-///                the journal instead of re-running them (without
-///                --resume the checkpoint is restarted from scratch)
 ///   --probe FILE attach the probe specs in FILE to every kernel launch
 ///                the bench simulates and add a versioned "probes"
 ///                object to the --json record; implies --no-cache,
@@ -118,26 +114,17 @@ public:
         }
         Schedule =
             *Choice == 0 ? SgemmSchedule::Drip : SgemmSchedule::List;
-      } else if (Arg == "--checkpoint")
-        CheckpointPath = needValue();
-      else if (Arg == "--resume")
-        Resume = true;
-      else if (Arg == "--probe")
+      } else if (Arg == "--probe")
         ProbePath = needValue();
       else {
         std::fprintf(stderr,
                      "%s: unknown option '%s'\n"
                      "usage: %s [--jobs N] [--json PATH] [--cache PATH] "
                      "[--no-cache] [--schedule drip|list] "
-                     "[--checkpoint PATH] [--resume] [--probe FILE]\n",
+                     "[--probe FILE]\n",
                      Name.c_str(), Arg.c_str(), Name.c_str());
         std::exit(2);
       }
-    }
-    if (Resume && CheckpointPath.empty()) {
-      std::fprintf(stderr, "%s: --resume requires --checkpoint PATH\n",
-                   Name.c_str());
-      std::exit(2);
     }
     if (!ProbePath.empty()) {
       auto Specs = loadProbeSpecFile(ProbePath);
@@ -165,9 +152,6 @@ public:
       // and associative).
       setProcessProbeEngine(&Probes);
     }
-    if (!CheckpointPath.empty())
-      Checkpoint =
-          std::make_unique<SweepCheckpoint>(CheckpointPath, Resume);
   }
 
   ~BenchRun() {
@@ -178,8 +162,50 @@ public:
       std::printf("\nprobe results (%s)\n%s", ProbePath.c_str(),
                   Probes.report().c_str());
     }
-    if (JsonPath.empty())
-      return;
+    bool AnyIncomplete = false;
+    for (const SweepReport &R : Sweeps)
+      AnyIncomplete |= !R.complete();
+    if (!JsonPath.empty())
+      writeJsonRecord(AnyIncomplete);
+    // A bench missing a row fails after its record is written, with or
+    // without --json, so tools/run_benches.sh cannot count it complete.
+    if (AnyIncomplete)
+      std::exit(1);
+  }
+
+  BenchRun(const BenchRun &) = delete;
+  BenchRun &operator=(const BenchRun &) = delete;
+
+  /// Raw --jobs value for LaunchConfig::Jobs (0 = hardware).
+  int jobs() const { return Jobs; }
+
+  /// Main-loop ordering requested with --schedule (default: drip).
+  SgemmSchedule schedule() const { return Schedule; }
+
+  /// PerfDatabase cache path; empty means --no-cache (in-memory only).
+  const std::string &cachePath() const { return CachePath; }
+
+  /// The database benches should measure through: persistent unless the
+  /// user said --no-cache.
+  PerfDatabase makeDatabase(const MachineDesc &M) const {
+    return PerfDatabase(M, CachePath);
+  }
+
+  /// Bench name (for diagnostics).
+  const std::string &name() const { return Name; }
+
+  /// Records \p R for the --json record's "incomplete" array and the
+  /// exit status, and reports each failed point on stderr. Called by
+  /// runSweepSupervised.
+  void recordSweep(const SweepReport &R) {
+    for (const SweepPointFailure &F : R.Incomplete)
+      std::fprintf(stderr, "%s: sweep %s: point %zu failed: %s\n",
+                   Name.c_str(), R.Name.c_str(), F.Point, F.Reason.c_str());
+    Sweeps.push_back(R);
+  }
+
+private:
+  void writeJsonRecord(bool AnyIncomplete) const {
     double Wall = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - Start)
                       .count();
@@ -223,30 +249,9 @@ public:
       W.key("probes");
       Probes.writeProbesValue(W);
     }
-    // Sweep summaries ride along only when checkpointing was requested,
-    // and failed points only when there were any, so records from plain
-    // runs keep the exact shape the committed perfdiff baselines pin.
-    // rows_fnv1a digests (index, rows) of every completed point, which
-    // is resume-independent: a kill+resume run must digest identically
-    // to an uninterrupted one (the CI crash-recovery stage gates this).
-    if (Checkpoint) {
-      W.key("sweeps");
-      W.beginObject();
-      for (const SweepReport &R : Sweeps) {
-        W.key(R.Name);
-        W.beginObject();
-        W.kv("points", static_cast<uint64_t>(R.Points));
-        W.kv("completed", static_cast<uint64_t>(R.Completed));
-        W.kv("rows_fnv1a",
-             formatString("%016llx",
-                          static_cast<unsigned long long>(R.RowsHash)));
-        W.endObject();
-      }
-      W.endObject();
-    }
-    bool AnyIncomplete = false;
-    for (const SweepReport &R : Sweeps)
-      AnyIncomplete |= !R.complete();
+    // Failed points ride along only when there were any, so records from
+    // plain runs keep the exact shape the committed perfdiff baselines
+    // pin.
     if (AnyIncomplete) {
       W.key("incomplete");
       W.beginArray();
@@ -274,73 +279,13 @@ public:
     }
   }
 
-  BenchRun(const BenchRun &) = delete;
-  BenchRun &operator=(const BenchRun &) = delete;
-
-  /// Raw --jobs value for LaunchConfig::Jobs / runSweep (0 = hardware).
-  int jobs() const { return Jobs; }
-
-  /// Main-loop ordering requested with --schedule (default: drip).
-  SgemmSchedule schedule() const { return Schedule; }
-
-  /// PerfDatabase cache path; empty means --no-cache (in-memory only).
-  const std::string &cachePath() const { return CachePath; }
-
-  /// The database benches should measure through: persistent unless the
-  /// user said --no-cache.
-  PerfDatabase makeDatabase(const MachineDesc &M) const {
-    return PerfDatabase(M, CachePath);
-  }
-
-  /// Bench name (for diagnostics).
-  const std::string &name() const { return Name; }
-
-  /// Execution knobs for runSupervisedSweep, assembled from --jobs and
-  /// --checkpoint/--resume.
-  SweepOptions sweepOptions() {
-    SweepOptions O;
-    O.Jobs = Jobs;
-    O.Checkpoint = Checkpoint.get();
-    return O;
-  }
-
-  /// Records \p R for the --json record ("sweeps"/"incomplete") and
-  /// reports anything noteworthy -- resumed points, failed points,
-  /// checkpoint append errors -- on stderr. Called by runSweepSupervised;
-  /// benches only call it directly when driving runSupervisedSweep
-  /// themselves.
-  void recordSweep(const SweepReport &R) {
-    // Resume/failure counts go to stderr, never into the JSON record:
-    // the record must be bit-identical between an uninterrupted run and
-    // a kill+resume run, and Resumed differs between the two.
-    if (R.Resumed > 0)
-      std::fprintf(stderr, "%s: sweep %s: resumed %zu/%zu points from "
-                           "checkpoint\n",
-                   Name.c_str(), R.Name.c_str(), R.Resumed, R.Points);
-    for (const SweepPointFailure &F : R.Incomplete)
-      std::fprintf(stderr, "%s: sweep %s: point %zu failed: %s\n",
-                   Name.c_str(), R.Name.c_str(), F.Point, F.Reason.c_str());
-    if (R.CheckpointErrors > 0)
-      std::fprintf(stderr,
-                   "%s: sweep %s: %zu checkpoint append failure%s "
-                   "(first: %s); resume may re-run those points\n",
-                   Name.c_str(), R.Name.c_str(), R.CheckpointErrors,
-                   R.CheckpointErrors == 1 ? "" : "s",
-                   R.FirstCheckpointError.c_str());
-    Sweeps.push_back(R);
-  }
-
-private:
   std::string Name;
   std::string JsonPath;
   std::string CachePath;
-  std::string CheckpointPath;
   std::string ProbePath;
   ProbeEngine Probes;
   int Jobs = 0; ///< 0 = one worker per hardware thread.
-  bool Resume = false;
   SgemmSchedule Schedule = SgemmSchedule::Drip;
-  std::unique_ptr<SweepCheckpoint> Checkpoint;
   std::vector<SweepReport> Sweeps;
   std::chrono::steady_clock::time_point Start;
   uint64_t StartCycles;
@@ -376,31 +321,21 @@ inline void benchIssueSlotReport(const MachineDesc &M, const SimStats &S) {
                   : "  ** INVARIANT VIOLATION **");
 }
 
-/// Evaluates \p Point(0..N-1) across up to \p Jobs threads and returns
-/// the results indexed by point -- output is identical for every Jobs
-/// value, so sweeps stay deterministic. \p Point must be safe to call
-/// concurrently (the simulator and PerfDatabase are; stdout printing is
-/// not, so format rows here and print after).
-template <typename Fn>
-auto runSweep(int Jobs, size_t N, Fn &&Point)
-    -> std::vector<decltype(Point(size_t(0)))> {
-  std::vector<decltype(Point(size_t(0)))> Results(N);
-  parallelFor(Jobs, N, [&](size_t I) { Results[I] = Point(I); });
-  return Results;
-}
-
-/// The checkpointed counterpart: evaluates each \p Point once with
-/// --checkpoint/--resume support, and records the sweep report for the
-/// --json record. Returns per-point rows; nullopt marks a failed point
-/// (listed in "incomplete" and on stderr -- render only the completed
-/// rows, so stdout is unchanged whenever nothing fails). \p Name must be
-/// unique within the bench (one entry per machine, e.g. "fig4_gtx580"):
-/// it keys both the checkpoint records and the JSON summary. With every
-/// point healthy and no checkpoint, output is bit-identical to runSweep.
+/// The bench sweep runner: evaluates \p Point(0..N-1) once each across
+/// up to --jobs threads and records the sweep report on \p Run. Returns
+/// the rows indexed by point, identical for every --jobs value; nullopt
+/// marks a failed point (listed in "incomplete", on stderr and in the
+/// exit status -- render only the completed rows, so stdout is unchanged
+/// whenever nothing fails). \p Point must be safe to call concurrently
+/// (the simulator and PerfDatabase are; stdout printing is not, so
+/// format rows here and print after). \p Name must be unique within the
+/// bench (one entry per machine, e.g. "fig4_GTX580"): it names the sweep
+/// in diagnostics and in the JSON record.
 inline std::vector<std::optional<std::vector<std::string>>>
 runSweepSupervised(BenchRun &Run, const std::string &Name, size_t N,
                    const SweepPointFn &Point) {
-  SweepResult R = runSupervisedSweep(Run.sweepOptions(), Name, N, Point);
+  SweepResult R =
+      runSupervisedSweep(SweepOptions{Run.jobs()}, Name, N, Point);
   Run.recordSweep(R.Report);
   return std::move(R.Rows);
 }

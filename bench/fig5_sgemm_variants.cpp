@@ -29,41 +29,32 @@ int main(int Argc, char **Argv) {
                             GemmVariant::TN, GemmVariant::TT})
         Points.push_back({M, Size, V});
 
-  struct Outcome {
-    std::vector<std::string> Row;
-    std::string Error;
-  };
-  auto Outcomes = runSweep(Run.jobs(), Points.size(), [&](size_t I) {
-    const Point &Pt = Points[I];
-    SgemmProblem P;
-    P.Variant = Pt.V;
-    P.M = P.N = P.K = Pt.Size;
-    SgemmRunOptions O;
-    O.Mode = SimMode::ProjectOneWave;
-    Outcome Out;
-    auto Cublas = runSgemm(*Pt.M, SgemmImpl::CublasLike, P, O);
-    auto Asm = runSgemm(*Pt.M, SgemmImpl::AsmTuned, P, O);
-    if (!Cublas || !Asm) {
-      Out.Error = Cublas ? Asm.message() : Cublas.message();
-      return Out;
-    }
-    Out.Row = {Pt.M->Name, formatString("%d", Pt.Size),
-               gemmVariantName(Pt.V), formatDouble(Cublas->Gflops, 0),
-               formatDouble(Asm->Gflops, 0),
-               formatDouble(Asm->Gflops / Cublas->Gflops, 3)};
-    return Out;
-  });
+  auto Rows = runSweepSupervised(
+      Run, "fig5", Points.size(), [&](size_t I, const std::string &) {
+        const Point &Pt = Points[I];
+        SgemmProblem P;
+        P.Variant = Pt.V;
+        P.M = P.N = P.K = Pt.Size;
+        SgemmRunOptions O;
+        O.Mode = SimMode::ProjectOneWave;
+        auto Cublas = runSgemm(*Pt.M, SgemmImpl::CublasLike, P, O);
+        auto Asm = runSgemm(*Pt.M, SgemmImpl::AsmTuned, P, O);
+        if (!Cublas || !Asm)
+          return SweepPointAttempt::fatal(Cublas ? Asm.message()
+                                                 : Cublas.message());
+        return SweepPointAttempt::ok(
+            {Pt.M->Name, formatString("%d", Pt.Size),
+             gemmVariantName(Pt.V), formatDouble(Cublas->Gflops, 0),
+             formatDouble(Asm->Gflops, 0),
+             formatDouble(Asm->Gflops / Cublas->Gflops, 3)});
+      });
 
   Table T;
   T.setHeader({"machine", "size", "variant", "CUBLAS-like", "ASM",
                "speedup"});
-  for (Outcome &Out : Outcomes) {
-    if (!Out.Error.empty()) {
-      benchPrint("error: " + Out.Error + "\n");
-      return 1;
-    }
-    T.addRow(Out.Row);
-  }
+  for (auto &Row : Rows)
+    if (Row)
+      T.addRow(*Row);
   benchPrint(T.render());
   benchPrint("\nPaper: ~5% average ASM advantage on GTX580; ASM and "
              "CUBLAS comparable on GTX680 (both ~1250-1400 GFLOPS).\n");

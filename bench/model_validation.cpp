@@ -40,46 +40,37 @@ int main(int Argc, char **Argv) {
       }
     }
     // Each case is an independent model analysis + simulator run, so the
-    // sweep fans across --jobs threads; outcomes land in case order.
-    struct Outcome {
-      std::vector<std::string> Row;
-      std::string Error;
-      bool Exceeded = false;
-    };
-    auto Outcomes = runSweep(Run.jobs(), Cases.size(), [&](size_t I) {
-      const Case &C = Cases[I];
-      Outcome Out;
-      UpperBoundReport Bound = Model.analyze(C.Params);
-      SgemmProblem P;
-      P.M = P.N = P.K = 1920;
-      SgemmRunOptions O;
-      O.Mode = SimMode::ProjectOneWave;
-      auto R = runSgemmConfig(M, C.Cfg, P, O);
-      if (!R) {
-        Out.Error = R.message();
-        return Out;
-      }
-      double Pct = 100 * R->Gflops / Bound.PotentialGflops;
-      Out.Exceeded = R->Gflops > Bound.PotentialGflops;
-      Out.Row = {formatString("BR=%d %s", C.Params.BR,
-                              C.Params.LdsWidth == MemWidth::B64
-                                  ? "LDS.64"
-                                  : "LDS"),
-                 formatDouble(Bound.PotentialGflops, 0),
-                 formatDouble(R->Gflops, 0),
-                 formatDouble(Pct, 1) + "%"};
-      return Out;
-    });
+    // sweep fans across --jobs threads; rows land in case order, and each
+    // case writes only its own over-bound flag.
+    std::vector<uint8_t> Exceeded(Cases.size(), 0);
+    auto Rows = runSweepSupervised(
+        Run, formatString("model_validation_%s", M.Name.c_str()),
+        Cases.size(), [&](size_t I, const std::string &) {
+          const Case &C = Cases[I];
+          UpperBoundReport Bound = Model.analyze(C.Params);
+          SgemmProblem P;
+          P.M = P.N = P.K = 1920;
+          SgemmRunOptions O;
+          O.Mode = SimMode::ProjectOneWave;
+          auto R = runSgemmConfig(M, C.Cfg, P, O);
+          if (!R)
+            return SweepPointAttempt::fatal(R.message());
+          double Pct = 100 * R->Gflops / Bound.PotentialGflops;
+          Exceeded[I] = R->Gflops > Bound.PotentialGflops;
+          return SweepPointAttempt::ok(
+              {formatString("BR=%d %s", C.Params.BR,
+                            C.Params.LdsWidth == MemWidth::B64 ? "LDS.64"
+                                                               : "LDS"),
+               formatDouble(Bound.PotentialGflops, 0),
+               formatDouble(R->Gflops, 0), formatDouble(Pct, 1) + "%"});
+        });
     Table T;
     T.setHeader({"configuration", "bound", "achieved", "% of bound"});
-    for (Outcome &Out : Outcomes) {
-      if (!Out.Error.empty()) {
-        benchPrint("error: " + Out.Error + "\n");
-        return 1;
-      }
-      if (Out.Exceeded)
+    for (size_t I = 0; I < Rows.size(); ++I) {
+      if (Exceeded[I])
         AllUnderBound = false;
-      T.addRow(Out.Row);
+      if (Rows[I])
+        T.addRow(*Rows[I]);
     }
     benchPrint(formatString("\n%s:\n", M.Name.c_str()));
     benchPrint(T.render());

@@ -262,38 +262,43 @@ double PerfDatabase::measureKernel(const Kernel &K,
   ByteWriter W(Payload);
   writeEntry(W, Key, T);
   auto JournalBytes = Journal->append(Payload);
-  if (!JournalBytes)
+  if (!JournalBytes) {
     std::fprintf(stderr, "warning: perf journal: %s\n",
                  JournalBytes.message().c_str());
-  else if (*JournalBytes > compactionThreshold())
-    compactLocked();
+  } else if (*JournalBytes > compactionThreshold()) {
+    // Compaction is an optimization; a failed snapshot write leaves the
+    // journal, which still holds every record, untouched.
+    if (Status S = compactLocked(CachePath); S.failed())
+      std::fprintf(stderr, "warning: perf cache compaction: %s\n",
+                   S.message().c_str());
+  }
   return T;
 }
 
-void PerfDatabase::compactLocked() {
-  // Fold snapshot + journal + in-memory store into a fresh snapshot,
-  // then drop the journal. Order is the invariant: the journal is only
-  // truncated *after* the snapshot write is durable, so a crash at any
-  // point leaves every record in the snapshot, the journal, or both
-  // (replay is idempotent) -- never in neither.
+Status PerfDatabase::compactLocked(const std::string &Path) {
+  // Keep entries another process appended since our load -- unless we
+  // re-measured the same key, in which case ours is at least as fresh.
+  // Both the foreign snapshot and its journal count.
   std::map<std::string, double> Merged;
-  if (auto OnDisk = parseCacheFile(CachePath))
+  if (auto OnDisk = parseCacheFile(Path))
     Merged = std::move(*OnDisk);
-  for (const auto &[Key, Value] : replayJournal(CachePath))
+  for (const auto &[Key, Value] : replayJournal(Path))
     Merged[Key] = Value;
   for (const auto &[Key, Value] : Store)
     Merged[Key] = Value;
+  if (Status S = writeCacheFile(Path, Merged); S.failed())
+    return S;
 
-  if (Status S = writeCacheFile(CachePath, Merged); S.failed()) {
-    // Compaction is an optimization; the journal still holds the
-    // records, so a failed (or crash-injected) snapshot write must not
-    // touch it.
-    std::fprintf(stderr, "warning: perf cache compaction: %s\n",
-                 S.message().c_str());
-    return;
-  }
-  Journal->clear();
-  Dirty = false;
+  // Order is the invariant: the journal is only truncated *after* the
+  // snapshot write is durable, so a crash at any point leaves every
+  // record in the snapshot, the journal, or both (replay is idempotent)
+  // -- never in neither. Truncating (rather than unlinking) keeps any
+  // O_APPEND fd in this or another database object usable -- appends
+  // re-write the header.
+  journalAt(Path).clear();
+  if (Path == CachePath)
+    Dirty = false;
+  return Status::success();
 }
 
 double PerfDatabase::mixThroughput(int FfmaPerLds, MemWidth Width,
@@ -375,28 +380,6 @@ Status PerfDatabase::load(const std::string &Path) {
 }
 
 Status PerfDatabase::save(const std::string &Path) {
-  std::map<std::string, double> Merged;
-  // Keep entries another process appended since our load -- unless we
-  // re-measured the same key, in which case ours is at least as fresh.
-  // Both the foreign snapshot and its journal count.
-  if (auto OnDisk = parseCacheFile(Path))
-    Merged = std::move(*OnDisk);
-  for (const auto &[Key, Value] : replayJournal(Path))
-    Merged[Key] = Value;
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    for (const auto &[Key, Value] : Store)
-      Merged[Key] = Value;
-  }
-  if (Status S = writeCacheFile(Path, Merged); S.failed())
-    return S;
-
-  // Snapshot is durable; the journal's records are now redundant.
-  // Truncating (rather than unlinking) keeps any O_APPEND fd in this
-  // or another database object usable -- appends re-write the header.
   std::lock_guard<std::mutex> Lock(Mutex);
-  journalAt(Path).clear();
-  if (Path == CachePath)
-    Dirty = false;
-  return Status::success();
+  return compactLocked(Path);
 }

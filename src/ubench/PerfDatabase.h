@@ -142,10 +142,13 @@ public:
 private:
   std::string keyFor(const Kernel &K, const MeasureConfig &Cfg) const;
 
-  /// Folds snapshot + journal + Store into a fresh durable snapshot,
-  /// then empties the journal -- in that order, so a crash at any point
-  /// leaves every record recoverable. Caller holds Mutex.
-  void compactLocked();
+  /// The one compaction routine, behind both save() and the journal
+  /// threshold: folds the snapshot and journal at \p Path, overlaid with
+  /// Store, into a fresh durable snapshot, then empties the journal --
+  /// in that order, so a crash at any point leaves every record
+  /// recoverable. On a failed snapshot write the journal is untouched.
+  /// Caller holds Mutex.
+  Status compactLocked(const std::string &Path);
 
   const MachineDesc &M;
   std::string CachePath;

@@ -8,7 +8,7 @@
 /// The sidecar journal that makes sweeps resumable: every completed
 /// sweep point is recorded as one support/FrameLog frame carrying the
 /// sweep name, the point index, and the point's rendered result rows. A
-/// killed sweep restarted with --resume replays the file (truncating at
+/// killed sweep restarted with Resume set replays the file (truncating at
 /// the first torn frame, the FrameLog recovery the PerfDatabase journal
 /// shares), serves the recorded rows for completed points
 /// without re-running them, and re-runs only what is missing -- so a

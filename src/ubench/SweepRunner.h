@@ -5,15 +5,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The crash-safe sweep engine: evaluates N independent sweep points
-/// across a thread pool, running each point once, with optional
-/// checkpoint/resume (ubench/SweepCheckpoint.h). A sweep never aborts on
-/// a failing point: the simulator is deterministic, so a failure would
+/// The sweep engine: evaluates N independent sweep points across a
+/// thread pool, running each point once, with results indexed by point
+/// so they are identical for every job count. A sweep never aborts on a
+/// failing point: the simulator is deterministic, so a failure would
 /// repeat on every retry, and the point is listed in an explicit
-/// incomplete set instead while the other points complete. Every
-/// completed point's rows are bit-identical to what a plain runSweep
-/// would have produced (pinned by sweep_supervisor_test).
-/// bench/BenchUtil.h wraps this for the figure/table benches.
+/// incomplete set instead while the other points complete (pinned by
+/// sweep_supervisor_test). bench/BenchUtil.h's runSweepSupervised wraps
+/// this as the one runner of the figure/table benches, with
+/// SweepOptions::Jobs only: their crash safety is the PerfDatabase
+/// journal, which serves every acknowledged measurement to a re-run.
+///
+/// The optional checkpoint (ubench/SweepCheckpoint.h), the lookup path
+/// that serves checkpointed points, SweepReport's Resumed and
+/// CheckpointErrors, and SweepPointFn's name parameter remain only for
+/// the host benchmark's ubench_cold workload (benchmark/Workloads.cpp)
+/// and sweep_supervisor_test; they go when that workload stops opening
+/// a checkpoint.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,7 +54,7 @@ struct SweepPointFailure {
   std::string Reason;
 };
 
-/// Summary of one sweep, emitted into bench --json records.
+/// Summary of one sweep; bench --json records list its incomplete points.
 struct SweepReport {
   std::string Name;
   size_t Points = 0;
@@ -65,7 +73,7 @@ struct SweepReport {
 
 /// Execution knobs for one sweep.
 struct SweepOptions {
-  int Jobs = 0;                          ///< As runSweep/parallelFor.
+  int Jobs = 0;                          ///< As parallelFor.
   SweepCheckpoint *Checkpoint = nullptr; ///< Optional resume journal.
 };
 

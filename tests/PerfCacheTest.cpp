@@ -148,8 +148,38 @@ TEST_F(PerfCache, SaveMergesConcurrentWriters) {
     Second.measureKernel(B, smallConfig());
     ASSERT_FALSE(Second.save(Path).failed());
   }
-  PerfDatabase Check(M, Path);
-  EXPECT_EQ(Check.entryCount(), 2u);
+  {
+    PerfDatabase Check(M, Path);
+    EXPECT_EQ(Check.entryCount(), 2u);
+  }
+  std::remove(Path.c_str());
+  std::remove(PerfDatabase::journalPath(Path).c_str());
+
+  // The same merge when the journal size triggers compaction rather
+  // than save(): a database that opened the path while it was empty
+  // must keep another writer's snapshot entry (A) and journal entry (C)
+  // when it folds its own B into the snapshot.
+  Kernel C = smallKernel(M, 8);
+  PerfDatabase Compacting(M, Path);
+  {
+    PerfDatabase First(M, Path);
+    First.measureKernel(A, smallConfig());
+  } // A is in the snapshot.
+  PerfDatabase Foreign(M, Path);
+  Foreign.measureKernel(C, smallConfig()); // C is in the journal only.
+  ASSERT_EQ(Foreign.entryCount(), 2u);
+
+  setPerfJournalCompactionThresholdForTesting(1);
+  Compacting.measureKernel(B, smallConfig());
+  setPerfJournalCompactionThresholdForTesting(0);
+
+  struct stat St;
+  ASSERT_EQ(::stat(PerfDatabase::journalPath(Path).c_str(), &St), 0);
+  EXPECT_EQ(St.st_size, 0) << "compaction must empty the journal";
+  PerfDatabase Check(M);
+  ASSERT_FALSE(Check.load(Path).failed());
+  EXPECT_EQ(Check.entryCount(), 3u)
+      << "the snapshot alone must hold A, B and C";
 }
 
 TEST_F(PerfCache, FailedSaveLeavesPreviousCacheIntact) {

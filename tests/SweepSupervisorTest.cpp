@@ -7,7 +7,7 @@
 /// \file
 /// The sweep engine's run-once and resume contract: every point runs
 /// once, a failing point degrades the sweep to an explicit incomplete
-/// list instead of aborting it, and --resume serves checkpointed points
+/// list instead of aborting it, and a resumed checkpoint serves its points
 /// without ever re-running them -- with the combined output (rows and
 /// digest) bit-identical to an uninterrupted run. A record the
 /// checkpoint could not replay is never acknowledged.
@@ -53,7 +53,7 @@ protected:
 
 TEST_F(SweepSupervisor, HealthySweepMatchesUnsupervisedOutput) {
   // The identity requirement: with every point healthy, the engine's
-  // rows are exactly what a plain runSweep produces, for any job count.
+  // rows are exactly what each point returned, for any job count.
   for (int Jobs : {1, 4}) {
     SweepOptions O = serialOptions();
     O.Jobs = Jobs;
@@ -180,7 +180,7 @@ TEST_F(SweepSupervisor, FreshRunTruncatesAnOldCheckpoint) {
     SweepCheckpoint Ckpt(CkptPath, false);
     ASSERT_FALSE(Ckpt.markDone("sweep", 0, rowsFor(0)).failed());
   }
-  // Without --resume the file is emptied: a fresh run re-runs all.
+  // Without Resume the file is emptied: a fresh run re-runs all.
   SweepCheckpoint Fresh(CkptPath, false);
   EXPECT_EQ(Fresh.recordCount(), 0u);
   EXPECT_EQ(Fresh.lookup("sweep", 0), nullptr);

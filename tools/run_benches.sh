@@ -4,7 +4,10 @@
 # sim-cycles/sec, job count) emitted by BenchRun's --json flag. All
 # benches share one persistent PerfDatabase cache inside the output
 # directory, so the second run of the suite (or a later bench reusing an
-# earlier bench's microbenchmarks) skips re-simulation.
+# earlier bench's microbenchmarks) skips re-simulation. That cache is
+# also the suite's one crash-safe store: its journal fsyncs every
+# measurement before a bench sees it, so a bench killed mid-sweep and
+# run again serves everything it had measured from the journal.
 #
 # Usage: tools/run_benches.sh [--check] [--resume] [build-dir] [out-dir]
 #   build-dir defaults to <repo>/build, out-dir to <build-dir>/bench_out.
@@ -14,10 +17,10 @@
 #             with tools/perfdiff -- non-zero exit on any regression.
 #   --resume  continue an interrupted collection in the same out-dir:
 #             benches recorded in <out-dir>/completed.list are skipped
-#             entirely, and each remaining bench resumes from its sweep
-#             checkpoint (<out-dir>/<bench>.ckpt), re-running only the
-#             sweep points that never completed. Incompatible with
-#             --check, which requires a cold, uninterrupted collection.
+#             entirely, and each remaining bench is re-run against the
+#             shared cache, whose journal serves every measurement the
+#             interrupted run acknowledged. Incompatible with --check,
+#             which requires a cold, uninterrupted collection.
 #
 # An interrupted run (SIGINT/SIGTERM, or any bench failure) still leaves
 # <out-dir>/manifest.json describing which benches completed, so callers
@@ -87,7 +90,7 @@ fi
 if [ "$RESUME" = 0 ]; then
   # A fresh (non-resume) collection owes nothing to a previous one in
   # the same directory: stale completion state must not skip benches.
-  rm -f "$DONE_LIST" "$OUT"/*.ckpt "$OUT/manifest.json"
+  rm -f "$DONE_LIST" "$OUT/manifest.json"
 fi
 touch "$DONE_LIST"
 
@@ -169,18 +172,8 @@ for BENCH in "${BENCHES[@]}"; do
     continue
   fi
   echo "== $BENCH" >&2
-  # Sweep checkpoints make a killed bench resumable point-by-point. The
-  # --check gate runs without them so its JSON records stay bit-for-bit
-  # comparable with the committed baselines (which predate checkpoints).
-  EXTRA=()
-  if [ "$CHECK" = 0 ]; then
-    EXTRA+=(--checkpoint "$OUT/${BENCH}.ckpt")
-    if [ "$RESUME" = 1 ]; then
-      EXTRA+=(--resume)
-    fi
-  fi
   STATUS=0
-  run_logged "$BIN" --jobs "$JOBS" --cache "$CACHE" "${EXTRA[@]}" \
+  run_logged "$BIN" --jobs "$JOBS" --cache "$CACHE" \
       --json "$OUT/${BENCH}_sim.json" > "$OUT/$BENCH.txt" || STATUS=$?
   if [ "$STATUS" -ne 0 ]; then
     echo "error: bench '$BENCH' failed with exit status $STATUS" \
@@ -200,16 +193,9 @@ for BENCH in upper_bound_analysis ablation_optimizations; do
     continue
   fi
   echo "== $BENCH --schedule list" >&2
-  EXTRA=()
-  if [ "$CHECK" = 0 ]; then
-    EXTRA+=(--checkpoint "$OUT/${BENCH}_sched.ckpt")
-    if [ "$RESUME" = 1 ]; then
-      EXTRA+=(--resume)
-    fi
-  fi
   STATUS=0
   run_logged "$BUILD/bench/$BENCH" --jobs "$JOBS" --cache "$CACHE" \
-      "${EXTRA[@]}" --schedule list \
+      --schedule list \
       --json "$OUT/${BENCH}_sched_sim.json" \
       > "$OUT/${BENCH}_sched.txt" || STATUS=$?
   if [ "$STATUS" -ne 0 ]; then
