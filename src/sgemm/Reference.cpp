@@ -14,8 +14,10 @@ using namespace gpuperf;
 
 // Built for x86-64-v3 and for the default target, so that std::fma is the
 // FMA instruction where the host has one; fma is exactly rounded, so both
-// clones compute the same bits.
-#if defined(__x86_64__)
+// clones compute the same bits. Not under ThreadSanitizer: its binaries
+// crash at startup when the clone's ifunc resolver runs before its
+// runtime.
+#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
 __attribute__((target_clones("arch=x86-64-v3", "default")))
 #endif
 void gpuperf::referenceSgemm(GemmVariant Variant, int M, int N, int K,

@@ -149,8 +149,9 @@ double gpuperf::sharedSerialization(const int64_t *Addrs, int NumAddrs,
 // libm's fmaf. The rows are copied into locals so that the loop sees no
 // aliasing and vectorizes; every lane is computed and only the masked
 // lanes are stored. IEEE 754 fma is exactly rounded, so each clone
-// returns the same bits.
-#if defined(__x86_64__)
+// returns the same bits. Not under ThreadSanitizer: its binaries crash
+// at startup when the clone's ifunc resolver runs before its runtime.
+#if defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
 __attribute__((target_clones("arch=x86-64-v3", "default")))
 #endif
 void gpuperf::ffmaRow(uint32_t Mask, const uint32_t *A, const uint32_t *B,

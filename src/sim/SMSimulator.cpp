@@ -54,7 +54,32 @@ enum class WarpBlock : uint8_t {
   LdstPipe,      ///< LD/ST pipe busy (shared-memory throughput).
   IssuePipe,     ///< Kepler SM-wide issue pipe busy.
 };
-constexpr size_t NumWarpBlocks = static_cast<size_t>(WarpBlock::IssuePipe) + 1;
+
+/// The structural resources blockedPipe checks, one bit each in its check
+/// order: of the pipes an instruction uses that are busy, the lowest bit
+/// is its verdict.
+enum PipeBit : uint8_t { PortBit = 1, IssueBit = 2, MathBit = 4, LdstBit = 8 };
+/// A set of PipeBits; there are NumPipeMasks sets.
+using PipeMask = uint8_t;
+constexpr size_t NumPipeMasks = 16;
+
+/// blockedPipe's verdict for an instruction whose busy pipes are \p Busy.
+constexpr WarpBlock firstBusy(unsigned Busy) {
+  constexpr WarpBlock ByBit[] = {WarpBlock::Port, WarpBlock::IssuePipe,
+                                 WarpBlock::MathPipe, WarpBlock::LdstPipe};
+  return Busy ? ByBit[std::countr_zero(Busy)] : WarpBlock::None;
+}
+
+/// For each set of busy pipes, the masks (one bit per PipeMask) of the
+/// instructions that use none of them.
+constexpr std::array<uint16_t, NumPipeMasks> MasksFreeOf = [] {
+  std::array<uint16_t, NumPipeMasks> Table = {};
+  for (unsigned Busy = 0; Busy < NumPipeMasks; ++Busy)
+    for (unsigned Mask = 0; Mask < NumPipeMasks; ++Mask)
+      if ((Mask & Busy) == 0)
+        Table[Busy] |= static_cast<uint16_t>(1u << Mask);
+  return Table;
+}();
 
 /// Everything the scheduler reads about one static instruction, decoded
 /// once per wave: none of it changes while the wave runs.
@@ -70,10 +95,10 @@ struct DecodedInst {
   ControlField Field;
   /// Every register and predicate index fits the allocated files.
   bool RegsOk = true;
-  /// The first structural resource blockedPipe checks that this
-  /// instruction occupies (None when it occupies none, or when its
-  /// registers do not fit the files, so that it traps at issue).
-  WarpBlock FirstPipe = WarpBlock::None;
+  /// The structural resources blockedPipe checks that this instruction
+  /// occupies (0 when its registers do not fit the files, so that it
+  /// traps at issue).
+  PipeMask Pipes = 0;
 };
 
 class SMSim {
@@ -126,8 +151,7 @@ public:
     for (int W = 0; W < LiveWarps; ++W) {
       GateState &G = Gates[W % NumSchedulers];
       G.ByLastIssue.push_back(W);
-      ++G.Live;
-      ++G.atFirstPipe(firstPipeAt(0));
+      G.enter(pipesAt(0));
     }
     SchedBlocked.assign(NumSchedulers, WarpBlock::None);
     SchedBlockedPC.assign(NumSchedulers, -1);
@@ -293,12 +317,11 @@ private:
           D.RegsOk = false;
       }
       const InstTiming &T = D.Timing;
-      D.FirstPipe = !D.RegsOk            ? WarpBlock::None
-                    : T.DispatchPort > 0 ? WarpBlock::Port
-                    : T.IssuePipe > 0    ? WarpBlock::IssuePipe
-                    : T.MathPipe > 0     ? WarpBlock::MathPipe
-                    : T.LdstPipe > 0     ? WarpBlock::LdstPipe
-                                         : WarpBlock::None;
+      if (D.RegsOk)
+        D.Pipes = (T.DispatchPort > 0 ? PortBit : 0) |
+                  (T.IssuePipe > 0 ? IssueBit : 0) |
+                  (T.MathPipe > 0 ? MathBit : 0) |
+                  (T.LdstPipe > 0 ? LdstBit : 0);
     }
   }
 
@@ -558,10 +581,9 @@ private:
 
     // --- Control effects --------------------------------------------------------
     GateState &G = Gates[WarpIdx % NumSchedulers];
-    --G.atFirstPipe(firstPipeAt(W.PC));
+    G.leave(pipesAt(W.PC));
     bool WarpExited = false, BlockDrained = false;
     if (Fx.IsExit) {
-      --G.Live;
       W.Done = true;
       --LiveWarps;
       --B.LiveWarps;
@@ -595,7 +617,7 @@ private:
       W.NoPenaltyWait = true; // Fermi has a full scoreboard.
     }
     if (!W.Done)
-      ++G.atFirstPipe(firstPipeAt(W.PC));
+      G.enter(pipesAt(W.PC));
     // A warp's ready times and PC change only here, at its own issue.
     if (static_cast<size_t>(W.PC) < Decoded.size() && Decoded[W.PC].RegsOk)
       W.ReadyAt = regsReadyCycle(W, Decoded[W.PC]);
@@ -667,32 +689,51 @@ private:
         W.AtBarrier = false;
   }
 
-  /// FirstPipe of the instruction at \p PC, or None off the code.
-  WarpBlock firstPipeAt(int PC) const {
-    return static_cast<size_t>(PC) < Decoded.size() ? Decoded[PC].FirstPipe
-                                                    : WarpBlock::None;
+  /// Pipes of the instruction at \p PC, or 0 off the code.
+  PipeMask pipesAt(int PC) const {
+    return static_cast<size_t>(PC) < Decoded.size() ? Decoded[PC].Pipes : 0;
   }
 
-  /// The slot of scheduler \p Sched decided without a per-warp issue
-  /// check. The gate is its dispatch port when busy (Fermi, where every
-  /// instruction holds it), else the SM-wide issue pipe when busy
-  /// (Kepler, where every non-Control instruction uses it). When every
-  /// live warp sits at an instruction whose first pipe is the gate,
-  /// blockReason gives each candidate -- a warp not at a barrier and not
-  /// stalled -- that gate. It outranks Barrier, NotationStall and None,
-  /// and no Scoreboard verdict charges a replay, so the scan would charge
-  /// the slot to the gate at the candidate with the smallest LastIssue,
-  /// ties going to the first in round-robin order from RRNext. Returns
-  /// that warp, or -1 when the gate is free, the precondition fails, or
-  /// no candidate exists; the scan then decides the slot.
-  int gatedOldestWarp(int Sched) const {
-    const double Limit = static_cast<double>(Now) + 1.0;
-    const WarpBlock Gate = PortFree[Sched] >= Limit ? WarpBlock::Port
-                           : IssuePipeFree >= Limit ? WarpBlock::IssuePipe
-                                                    : WarpBlock::None;
+  /// A lost slot decided without a per-warp issue check.
+  struct GatedSlot {
+    WarpBlock Cause;
+    int PC;
+  };
+
+  /// The slot of scheduler \p Sched decided from GateState alone, when
+  /// it can be. A scheduler without live warps loses it to None at no
+  /// PC. Otherwise, when every live warp sits at an instruction that uses
+  /// a busy pipe, blockReason gives each candidate -- a warp not at a
+  /// barrier and not stalled -- the first busy pipe of its instruction.
+  /// Pipe verdicts outrank Barrier, NotationStall and None, and none is
+  /// Scoreboard, so no replay is charged and the scan would charge the
+  /// slot to the highest such verdict, at the candidate with that verdict
+  /// and the smallest LastIssue, ties going to the first in round-robin
+  /// order from RRNext. Returns nothing when some live warp's instruction
+  /// uses no busy pipe, or no candidate has the highest verdict any live
+  /// warp's instruction gives; the scan then decides the slot. The port
+  /// and the issue pipe, busy on most of Fermi's and Kepler's lost
+  /// slots, are tested first; the math and LD/ST pipes are read only
+  /// when those two do not decide.
+  std::optional<GatedSlot> gatedSlot(int Sched) const {
     const GateState &G = Gates[Sched];
-    if (Gate == WarpBlock::None || G.atFirstPipe(Gate) != G.Live)
-      return -1;
+    if (G.Occupied == 0)
+      return GatedSlot{WarpBlock::None, -1};
+    const double Limit = static_cast<double>(Now) + 1.0;
+    unsigned Busy = (PortFree[Sched] >= Limit ? PortBit : 0) |
+                    (IssuePipeFree >= Limit ? IssueBit : 0);
+    // A mask that meets the port or the issue pipe gets its verdict from
+    // them: the math and LD/ST pipes come later in blockedPipe's order.
+    if (G.Occupied & MasksFreeOf[Busy]) {
+      const unsigned Late = (MathPipeFree >= Limit ? MathBit : 0) |
+                            (LdstPipeFree >= Limit ? LdstBit : 0);
+      if (Late == 0 || (G.Occupied & MasksFreeOf[Busy | Late]))
+        return std::nullopt;
+      Busy |= Late;
+    }
+    WarpBlock Cause = WarpBlock::None;
+    for (unsigned Left = G.Occupied; Left != 0; Left &= Left - 1)
+      Cause = std::max(Cause, firstBusy(std::countr_zero(Left) & Busy));
     // ByLastIssue is oldest first. LastIssue values past 0 are distinct
     // (one issue per scheduler per cycle), so only the warps at 0 -- not
     // yet issued, or issued at cycle 0 -- can tie. Warps are distributed
@@ -704,10 +745,11 @@ private:
       const WarpContext &W = Warps[WarpIdx];
       if (W.LastIssue > 0 && Oldest >= 0)
         break;
-      if (W.Done || W.AtBarrier || W.StallUntil > Now)
+      if (W.Done || W.AtBarrier || W.StallUntil > Now ||
+          firstBusy(Decoded[W.PC].Pipes & Busy) != Cause)
         continue;
       if (W.LastIssue > 0)
-        return WarpIdx;
+        return GatedSlot{Cause, W.PC};
       int Rank = WarpIdx / NumSchedulers - RRNext[Sched];
       if (Rank < 0)
         Rank += NumMine;
@@ -716,34 +758,33 @@ private:
         OldestRank = Rank;
       }
     }
-    return Oldest;
+    if (Oldest < 0)
+      return std::nullopt;
+    return GatedSlot{Cause, Warps[Oldest].PC};
+  }
+
+  /// Charges this cycle's slot of scheduler \p Sched to \p B at \p PC,
+  /// and remembers both for a fast-forwarded idle span.
+  void loseSlot(int Sched, WarpBlock B, int PC) {
+    SchedBlocked[Sched] = B;
+    SchedBlockedPC[Sched] = PC;
+    accountStall(Sched, B, PC, Now, 1);
   }
 
   Status runScheduler(int Sched, bool &IssuedAny) {
-    const std::vector<int> &Mine = SchedWarps[Sched];
-    if (Mine.empty()) {
-      SchedBlocked[Sched] = WarpBlock::None;
-      SchedBlockedPC[Sched] = -1;
-      accountStall(Sched, WarpBlock::None, -1, Now, 1);
-      return Status::success();
-    }
-
     // The scheduler's one issue slot this cycle: either some warp issues,
     // or the slot is attributed to the highest-priority reason any of its
     // warps could not (see WarpBlock's ordering). For the profile the
     // slot is charged to a PC too: among the warps blocked for the
     // winning reason, the one that has waited longest since its last
     // issue (the likely head of the dependence chain) names the
-    // instruction. A slot lost to a busy gate is decided without the
-    // scan when gatedOldestWarp can name that warp.
-    if (const int Oldest = gatedOldestWarp(Sched); Oldest >= 0) {
-      const int PC = Warps[Oldest].PC;
-      const WarpBlock Gate = Decoded[PC].FirstPipe;
-      SchedBlocked[Sched] = Gate;
-      SchedBlockedPC[Sched] = PC;
-      accountStall(Sched, Gate, PC, Now, 1);
+    // instruction. gatedSlot decides the slot without the scan when it
+    // can.
+    if (const std::optional<GatedSlot> Slot = gatedSlot(Sched)) {
+      loseSlot(Sched, Slot->Cause, Slot->PC);
       return Status::success();
     }
+    const std::vector<int> &Mine = SchedWarps[Sched];
     WarpBlock Best = WarpBlock::None;
     int BestPC = -1;
     uint64_t BestWait = 0;
@@ -794,9 +835,7 @@ private:
       }
       return Status::success();
     }
-    SchedBlocked[Sched] = Best;
-    SchedBlockedPC[Sched] = BestPC;
-    accountStall(Sched, Best, BestPC, Now, 1);
+    loseSlot(Sched, Best, BestPC);
     return Status::success();
   }
 
@@ -850,21 +889,24 @@ private:
   std::vector<double> PortFree;
   /// Each scheduler's round-robin start, an index into its warp list.
   std::vector<int> RRNext;
-  /// What gatedOldestWarp reads of one scheduler, kept up to date at
-  /// every issue.
+  /// What gatedSlot reads of one scheduler, kept up to date at every
+  /// issue.
   struct GateState {
     /// The scheduler's warps by LastIssue, oldest first.
     std::vector<int> ByLastIssue;
-    /// Warps not done, and how many of them sit at an instruction of
-    /// each FirstPipe (indexed by WarpBlock).
-    int Live = 0;
-    std::array<int, NumWarpBlocks> AtFirstPipe = {};
+    /// How many warps not done sit at an instruction of each PipeMask,
+    /// and the masks with at least one (bit Mask set; 0 when every warp
+    /// is done).
+    std::array<int, NumPipeMasks> AtPipes = {};
+    uint16_t Occupied = 0;
 
-    int &atFirstPipe(WarpBlock B) {
-      return AtFirstPipe[static_cast<size_t>(B)];
+    void enter(PipeMask P) {
+      if (AtPipes[P]++ == 0)
+        Occupied |= static_cast<uint16_t>(1u << P);
     }
-    int atFirstPipe(WarpBlock B) const {
-      return AtFirstPipe[static_cast<size_t>(B)];
+    void leave(PipeMask P) {
+      if (--AtPipes[P] == 0)
+        Occupied &= static_cast<uint16_t>(~(1u << P));
     }
   };
   std::vector<GateState> Gates;

@@ -491,6 +491,86 @@ const char *IssueBoundBody = "  FFMA R1, R0, R4, R8\n"
                              "  FFMA R3, R0, R4, R8\n"
                              "  EXIT\n";
 
+/// Straight-line LDS.128, LDS.64 and FFMA: the LD/ST pipe stays busy
+/// while other warps wait on the dispatch port or the math pipe (Fermi)
+/// or the issue pipe (Kepler), so a slot's warps are blocked by
+/// different pipes at once.
+const char *LdsMixBody = "  S2R R0, SR_TID.X\n"
+                         "  SHL R1, R0, 4\n"
+                         "  LOP.AND R1, R1, 4095\n"
+                         "  LDS.128 R4, [R1]\n"
+                         "  FFMA R8, R0, R0, R8\n"
+                         "  FFMA R9, R0, R0, R9\n"
+                         "  LDS.64 R10, [R1]\n"
+                         "  FFMA R12, R4, R5, R12\n"
+                         "  LDS.128 R4, [R1]\n"
+                         "  FFMA R13, R6, R7, R13\n"
+                         "  FFMA R14, R10, R11, R14\n"
+                         "  LDS.64 R10, [R1]\n"
+                         "  FFMA R8, R4, R5, R8\n"
+                         "  FFMA R9, R6, R7, R9\n"
+                         "  FFMA R12, R10, R11, R12\n"
+                         "  EXIT\n";
+
+/// Warps loop 1 to 4 times over LDS.128 and FFMA, then meet at a barrier
+/// whose next instruction is an LDS.128: warps that arrive early wait
+/// there while the LD/ST pipe is busy and the others still compute.
+const char *BarrierLdsBody = "  S2R R0, SR_TID.X\n"
+                             "  SHR R2, R0, 5\n"
+                             "  LOP.AND R2, R2, 3\n"
+                             "  IADD R2, R2, 1\n"
+                             "  SHL R1, R0, 4\n"
+                             "  LOP.AND R1, R1, 4095\n"
+                             "loop:\n"
+                             "  LDS.128 R4, [R1]\n"
+                             "  FFMA R8, R4, R5, R8\n"
+                             "  FFMA R9, R6, R7, R9\n"
+                             "  IADD R2, R2, -1\n"
+                             "  ISETP.NE P0, R2, RZ\n"
+                             "  @P0 BRA loop\n"
+                             "  BAR.SYNC\n"
+                             "  LDS.128 R4, [R1]\n"
+                             "  FFMA R8, R4, R5, R8\n"
+                             "  FFMA R9, R6, R7, R9\n"
+                             "  EXIT\n";
+
+/// One LDS.128, independent FFMAs, then a barrier whose next instruction
+/// is an LDS.128: on GT200's single scheduler the math pipe stays busy
+/// four cycles per FFMA, so warps at the barrier are the only ones at an
+/// LD/ST instruction while the others wait on the math pipe.
+const char *BarrierAfterMathBody = "  S2R R0, SR_TID.X\n"
+                                   "  SHL R1, R0, 4\n"
+                                   "  LOP.AND R1, R1, 4095\n"
+                                   "  LDS.128 R4, [R1]\n"
+                                   "  FFMA R8, R0, R0, R8\n"
+                                   "  FFMA R9, R0, R0, R9\n"
+                                   "  FFMA R10, R0, R0, R10\n"
+                                   "  FFMA R11, R0, R0, R11\n"
+                                   "  FFMA R12, R4, R5, R12\n"
+                                   "  FFMA R13, R6, R7, R13\n"
+                                   "  BAR.SYNC\n"
+                                   "  LDS.128 R4, [R1]\n"
+                                   "  FFMA R8, R4, R5, R8\n"
+                                   "  FFMA R9, R6, R7, R9\n"
+                                   "  EXIT\n";
+
+/// Warp w loops w + 1 times, without barriers: with fewer warps than
+/// schedulers times two, a scheduler whose warps have exited runs empty
+/// while the others still issue.
+const char *WarpTripBody = "  S2R R0, SR_TID.X\n"
+                           "  SHR R2, R0, 5\n"
+                           "  IADD R2, R2, 1\n"
+                           "  SHL R1, R0, 3\n"
+                           "  LOP.AND R1, R1, 4095\n"
+                           "loop:\n"
+                           "  LDS.64 R4, [R1]\n"
+                           "  FFMA R6, R4, R5, R6\n"
+                           "  FFMA R7, R4, R5, R7\n"
+                           "  IADD R2, R2, -1\n"
+                           "  ISETP.NE P0, R2, RZ\n"
+                           "  @P0 BRA loop\n"
+                           "  EXIT\n";
+
 /// The stats and the per-PC profile of one block of \p Threads threads
 /// running \p Body on \p M (notations of quality \p Q on Kepler), one
 /// line per PC that issued or was charged a slot.
@@ -544,8 +624,14 @@ std::string slotRecord(const MachineDesc &M, const char *Body, int Threads,
 // warp: warps that have not issued tie on LastIssue, barriers are
 // released by another scheduler's warp, Control instructions sit at the
 // head while the pipe is busy, and Kepler notations stall the oldest
-// warp. The record is hashed; its first two lines are also compared as
-// text, so a failure shows which counters moved.
+// warp. The LdsMixBody and barrier cases were recorded before the gate
+// covered the math and LD/ST pipes: the LD/ST pipe decides slots while
+// other warps wait on the math pipe (the oldest candidate is not the
+// one charged), and warps at a barrier are the only ones at an LD/ST
+// instruction (no candidate has the highest verdict). The WarpTripBody
+// cases leave one scheduler without live warps while the others issue.
+// The record is hashed; its first two lines are also compared as text,
+// so a failure shows which counters moved.
 TEST(SchedulerSlots, StatsAndProfileMatchRecordedValues) {
   using Q = NotationQuality;
   struct Case {
@@ -585,6 +671,46 @@ TEST(SchedulerSlots, StatsAndProfileMatchRecordedValues) {
        "cycles 24 insts 24 replays 4 dual 8 conflicts 0 barriers 0 "
        "idle 13\nslots 16 43 1 4 0 0 32",
        0x9111822a7fae4605ull},
+      {&gtx580(), LdsMixBody, 512, Q::Tuned,
+       "cycles 849 insts 256 replays 0 dual 0 conflicts 32 "
+       "barriers 0 idle 594\nslots 256 34 0 246 868 0 294",
+       0x8c898878c606e64eull},
+      {&gtx680(), LdsMixBody, 512, Q::Tuned,
+       "cycles 186 insts 256 replays 0 dual 66 conflicts 32 "
+       "barriers 0 idle 62\nslots 190 273 0 0 245 0 36",
+       0x9f0b46e24d975912ull},
+      {&gtx680(), LdsMixBody, 512, Q::Heuristic,
+       "cycles 194 insts 256 replays 303 dual 58 conflicts 32 "
+       "barriers 0 idle 60\nslots 198 233 11 47 248 0 39",
+       0x0a72518a83b4eb24ull},
+      {&gt200(), LdsMixBody, 128, Q::Tuned,
+       "cycles 351 insts 64 replays 0 dual 0 conflicts 8 "
+       "barriers 0 idle 287\nslots 64 0 0 132 155 0 0",
+       0x9104edcab51fbecdull},
+      {&gtx580(), BarrierLdsBody, 224, Q::Tuned,
+       "cycles 569 insts 173 replays 0 dual 0 conflicts 0 "
+       "barriers 7 idle 407\nslots 173 273 0 303 326 31 32",
+       0xd27cf83223b7890cull},
+      {&gtx580(), BarrierLdsBody, 288, Q::Tuned,
+       "cycles 654 insts 225 replays 0 dual 0 conflicts 0 "
+       "barriers 9 idle 444\nslots 225 242 0 296 451 14 80",
+       0x975071a5db3b222cull},
+      {&gtx680(), BarrierLdsBody, 384, Q::Heuristic,
+       "cycles 362 insts 312 replays 426 dual 52 conflicts 0 "
+       "barriers 12 idle 178\nslots 260 643 0 39 95 377 34",
+       0x1168f2c00385008cull},
+      {&gt200(), BarrierAfterMathBody, 256, Q::Tuned,
+       "cycles 442 insts 120 replays 0 dual 0 conflicts 0 "
+       "barriers 8 idle 322\nslots 120 0 0 210 112 0 0",
+       0x0f293be79b0be41eull},
+      {&gtx580(), WarpTripBody, 96, Q::Tuned,
+       "cycles 288 insts 54 replays 0 dual 0 conflicts 0 "
+       "barriers 0 idle 234\nslots 54 195 0 243 6 0 78",
+       0x3e6b8c3001f0ff3full},
+      {&gtx680(), WarpTripBody, 160, Q::Tuned,
+       "cycles 307 insts 120 replays 0 dual 18 conflicts 0 "
+       "barriers 0 idle 231\nslots 102 790 2 5 1 0 328",
+       0x137793c27e2f1169ull},
   };
   for (const Case &C : Cases) {
     const std::string R = slotRecord(*C.M, C.Body, C.Threads, C.Quality);

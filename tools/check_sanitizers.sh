@@ -11,8 +11,8 @@
 #
 # Usage: tools/check_sanitizers.sh [--asan-only] [build-dir] [ctest args...]
 #   build-dir defaults to <repo>/build-sanitize; the TSan build goes to
-#   <build-dir>-tsan. --asan-only skips the TSan stage (it needs a
-#   second full build tree -- CI runs it on a separate schedule).
+#   <build-dir>-tsan. --asan-only skips the TSan stage, which needs a
+#   second full build tree.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -45,9 +45,10 @@ fi
 # it rides along; the profile suite exercises the per-SM profile merge
 # under the parallel launcher; the journal and sweep-supervisor suites
 # cover the journaled PerfDatabase and the sweep engine, whose
-# checkpoint appends run on pool worker threads; the probe suite merges
-# per-SM probe clones under the parallel launcher and the process-wide
-# engine behind its mutex.
+# checkpoint appends run on pool worker threads; the bench-run suite
+# runs a bench's sweep through the pool and its exit path; the probe
+# suite merges per-SM probe clones under the parallel launcher and the
+# process-wide engine behind its mutex.
 TSAN_BUILD="$BUILD-tsan"
 cmake -S "$ROOT" -B "$TSAN_BUILD" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -56,4 +57,4 @@ cmake --build "$TSAN_BUILD" -j"$(nproc)"
 
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir "$TSAN_BUILD" --output-on-failure \
-    -R '(support|parallel_sim|perf_cache|perf_journal|sweep_supervisor|stats|scheduler|profile|probe)_test|trace_smoke' "$@"
+    -R '(support|parallel_sim|perf_cache|perf_journal|sweep_supervisor|bench_run|stats|scheduler|profile|probe)_test|trace_smoke' "$@"
