@@ -219,39 +219,77 @@ ExecEffects Executor::execute(const Instruction &I, WarpContext &W,
     const int Words = memWidthRegs(I.Width);
     const bool IsLoad = I.Op == Opcode::LDS || I.Op == Opcode::LD;
     const bool IsShared = Class == OpClass::SharedMem;
-    const uint32_t *AddrRow = W.readRow(I.Src[0]);
+    const uint8_t AddrReg = I.Src[0];
+    const uint32_t *AddrRow = W.readRow(AddrReg);
     // Per data word: the destination row of a load, the source row of a
     // store.
     uint32_t Discard[WarpSize];
     uint32_t *LoadRows[4] = {};
     const uint32_t *StoreRows[4] = {};
+    bool LoadsIntoAddrRow = false;
     for (int Word = 0; Word < Words; ++Word) {
-      if (IsLoad)
+      if (IsLoad) {
         LoadRows[Word] =
             W.writeRow(static_cast<uint8_t>(I.Dst + Word), Discard);
-      else
+        LoadsIntoAddrRow |= LoadRows[Word] == AddrRow;
+      } else {
         StoreRows[Word] = W.readRow(static_cast<uint8_t>(I.Src[1] + Word));
+      }
+    }
+    // The shared-access memo: a slot keyed by the address register, its
+    // write generation, the lane mask, the width and Imm mod ChunkBytes
+    // holds the extremes of the lanes' address-register values and the
+    // serialization of a trap-free access. A hit whose shifted extremes
+    // are in bounds needs no per-lane check: its Imm differs from the
+    // filling access's by a multiple of ChunkBytes, a multiple of Width,
+    // so every lane is aligned as it was then, and every lane's chunk
+    // (sharedSerialization) moves by the same count, which permutes the
+    // bank groups and keeps each group's count of distinct chunks. A load
+    // into its own address row changes that row after writeRow bumped its
+    // generation, so it neither reads nor fills the memo.
+    WarpContext::SharedAccessMemo *Memo = nullptr;
+    bool Memoized = false;
+    uint8_t ImmResidue = 0;
+    if (IsShared && Mask != 0 && !LoadsIntoAddrRow) {
+      const int ChunkBytes = std::max(Width, M.SharedMemBankBytes);
+      ImmResidue = static_cast<uint8_t>(I.Imm & (ChunkBytes - 1));
+      Memo = &W.SharedMemo[AddrReg & 3];
+      Memoized = Memo->Reg == AddrReg &&
+                 Memo->Gen == W.RowGen[AddrReg & 63] && Memo->Mask == Mask &&
+                 Memo->Width == Width && Memo->ImmResidue == ImmResidue &&
+                 Memo->MinBase + I.Imm >= 0 &&
+                 Memo->MaxBase + I.Imm + Width <= Shared.size();
     }
     // First pass, free of side effects: the address of each active lane,
-    // ascending, up to the first lane that would fault.
+    // ascending, up to the first lane that would fault. A memo hit checks
+    // nothing, and only a valued access needs its addresses.
     int64_t Addrs[WarpSize];
     int NumAddrs = 0;
     int BadLane = -1;
     int64_t BadAddr = 0;
-    for (uint32_t Lanes = Mask; Lanes != 0; Lanes &= Lanes - 1) {
-      const int Lane = std::countr_zero(Lanes);
-      const int64_t Addr = static_cast<int64_t>(AddrRow[Lane]) + I.Imm;
-      const bool Ok =
-          (Addr & (Width - 1)) == 0 &&
-          (IsShared ? Shared.inBounds(Addr, Width)
-                    : Addr >= 0 && Global.inBounds(static_cast<uint64_t>(Addr),
-                                                   Width));
-      if (!Ok) {
-        BadLane = Lane;
-        BadAddr = Addr;
-        break;
+    if (Memoized) {
+      if (!TimingOnly)
+        for (uint32_t Lanes = Mask; Lanes != 0; Lanes &= Lanes - 1)
+          Addrs[NumAddrs++] =
+              static_cast<int64_t>(AddrRow[std::countr_zero(Lanes)]) +
+              I.Imm;
+    } else {
+      for (uint32_t Lanes = Mask; Lanes != 0; Lanes &= Lanes - 1) {
+        const int Lane = std::countr_zero(Lanes);
+        const int64_t Addr = static_cast<int64_t>(AddrRow[Lane]) + I.Imm;
+        const bool Ok = (Addr & (Width - 1)) == 0 &&
+                        (IsShared ? Shared.inBounds(Addr, Width)
+                                  : Addr >= 0 &&
+                                        Global.inBounds(
+                                            static_cast<uint64_t>(Addr),
+                                            Width));
+        if (!Ok) {
+          BadLane = Lane;
+          BadAddr = Addr;
+          break;
+        }
+        Addrs[NumAddrs++] = Addr;
       }
-      Addrs[NumAddrs++] = Addr;
     }
     // Second pass: move the words of the lanes that passed, in the same
     // order, so a faulting access keeps the earlier lanes' effects. A
@@ -290,9 +328,22 @@ ExecEffects Executor::execute(const Instruction &I, WarpContext &W,
                                 : static_cast<long long>(Global.size()),
                        IsShared ? "shared" : "global"));
     }
-    if (IsShared) {
+    if (Memoized) {
+      Fx.SharedSerialization = Memo->Serialization;
+    } else if (IsShared) {
       Fx.SharedSerialization = sharedSerialization(
           Addrs, NumAddrs, Width, M.SharedMemBanks, M.SharedMemBankBytes);
+      if (Memo) {
+        const auto [Min, Max] = std::minmax_element(Addrs, Addrs + NumAddrs);
+        *Memo = {.Gen = W.RowGen[AddrReg & 63],
+                 .MinBase = *Min - I.Imm,
+                 .MaxBase = *Max - I.Imm,
+                 .Serialization = Fx.SharedSerialization,
+                 .Mask = Mask,
+                 .Reg = AddrReg,
+                 .Width = static_cast<uint8_t>(Width),
+                 .ImmResidue = ImmResidue};
+      }
     } else {
       // Coalescing: distinct 128-byte segments touched by the warp. An
       // aligned access of at most 16 bytes never straddles a segment.

@@ -55,15 +55,16 @@ enum class WarpBlock : uint8_t {
   IssuePipe,     ///< Kepler SM-wide issue pipe busy.
 };
 
-/// The structural resources blockedPipe checks, one bit each in its check
-/// order: of the pipes an instruction uses that are busy, the lowest bit
-/// is its verdict.
+/// The structural resources blockReason checks, one bit each in its check
+/// order (dispatch port, issue pipe, math pipe, LD/ST pipe): of the pipes
+/// an instruction uses that are busy, the lowest bit is its verdict.
 enum PipeBit : uint8_t { PortBit = 1, IssueBit = 2, MathBit = 4, LdstBit = 8 };
 /// A set of PipeBits; there are NumPipeMasks sets.
 using PipeMask = uint8_t;
 constexpr size_t NumPipeMasks = 16;
 
-/// blockedPipe's verdict for an instruction whose busy pipes are \p Busy.
+/// blockReason's pipe verdict for an instruction whose busy pipes are
+/// \p Busy (None when there are none).
 constexpr WarpBlock firstBusy(unsigned Busy) {
   constexpr WarpBlock ByBit[] = {WarpBlock::Port, WarpBlock::IssuePipe,
                                  WarpBlock::MathPipe, WarpBlock::LdstPipe};
@@ -95,7 +96,7 @@ struct DecodedInst {
   ControlField Field;
   /// Every register and predicate index fits the allocated files.
   bool RegsOk = true;
-  /// The structural resources blockedPipe checks that this instruction
+  /// The structural resources blockReason checks that this instruction
   /// occupies (0 when its registers do not fit the files, so that it
   /// traps at issue).
   PipeMask Pipes = 0;
@@ -149,9 +150,10 @@ public:
     RRNext.assign(NumSchedulers, 0);
     Gates.resize(NumSchedulers);
     for (int W = 0; W < LiveWarps; ++W) {
+      cachePC(Warps[W]);
       GateState &G = Gates[W % NumSchedulers];
-      G.ByLastIssue.push_back(W);
-      G.enter(pipesAt(0));
+      G.pushNewest(Warps, W);
+      G.enter(Warps[W].Pipes);
     }
     SchedBlocked.assign(NumSchedulers, WarpBlock::None);
     SchedBlockedPC.assign(NumSchedulers, -1);
@@ -421,43 +423,34 @@ private:
     return T;
   }
 
-  /// First structural resource blocking an instruction with timing \p T
-  /// this cycle (checked in dispatch-port, issue-pipe, math-pipe,
-  /// LD/ST-pipe order), or None.
-  WarpBlock blockedPipe(const InstTiming &T, int Sched) const {
-    double Limit = static_cast<double>(Now) + 1.0;
-    if (T.DispatchPort > 0 && PortFree[Sched] >= Limit)
-      return WarpBlock::Port;
-    if (T.IssuePipe > 0 && IssuePipeFree >= Limit)
-      return WarpBlock::IssuePipe;
-    if (T.MathPipe > 0 && MathPipeFree >= Limit)
-      return WarpBlock::MathPipe;
-    if (T.LdstPipe > 0 && LdstPipeFree >= Limit)
-      return WarpBlock::LdstPipe;
-    return WarpBlock::None;
+  /// The pipes busy this cycle for scheduler \p Sched, as a PipeMask.
+  unsigned busyPipes(int Sched) const {
+    const double Limit = static_cast<double>(Now) + 1.0;
+    return (PortFree[Sched] >= Limit ? PortBit : 0) |
+           (IssuePipeFree >= Limit ? IssueBit : 0) |
+           (MathPipeFree >= Limit ? MathBit : 0) |
+           (LdstPipeFree >= Limit ? LdstBit : 0);
   }
 
-  /// The side-effect-free issue checks of warp \p W on scheduler
-  /// \p Sched, in order: done; at a barrier or stalled; an invalid PC or
-  /// an instruction whose registers do not fit the files (both go to the
-  /// issue path, which traps); a busy structural pipe; the scoreboard.
+  /// The side-effect-free issue checks of warp \p W, with \p Busy the
+  /// busy pipes of its scheduler (busyPipes), in order: done; at a
+  /// barrier or stalled; an invalid PC or an instruction whose registers
+  /// do not fit the files (both go to the issue path, which traps); a
+  /// busy structural pipe, the first in PipeBit order; the scoreboard.
   /// Returns why the warp cannot use the slot this cycle (None for a done
   /// warp), or nullopt when issueOrTrap must take it.
   std::optional<WarpBlock> blockReason(const WarpContext &W,
-                                       int Sched) const {
+                                       unsigned Busy) const {
     if (W.Done)
       return WarpBlock::None;
     if (W.AtBarrier)
       return WarpBlock::Barrier;
     if (W.StallUntil > Now)
       return WarpBlock::NotationStall;
-    if (W.PC < 0 || static_cast<size_t>(W.PC) >= K.Code.size() ||
-        !Decoded[W.PC].RegsOk)
+    if (W.TrapsAtIssue)
       return std::nullopt;
-    const DecodedInst &D = Decoded[W.PC];
-    if (WarpBlock Pipe = blockedPipe(D.Timing, Sched);
-        Pipe != WarpBlock::None)
-      return Pipe;
+    if (const unsigned Blocking = W.Pipes & Busy)
+      return firstBusy(Blocking);
     if (W.ReadyAt > Now)
       return WarpBlock::Scoreboard;
     return std::nullopt;
@@ -581,7 +574,7 @@ private:
 
     // --- Control effects --------------------------------------------------------
     GateState &G = Gates[WarpIdx % NumSchedulers];
-    G.leave(pipesAt(W.PC));
+    G.leave(W.Pipes);
     bool WarpExited = false, BlockDrained = false;
     if (Fx.IsExit) {
       W.Done = true;
@@ -616,15 +609,14 @@ private:
       W.StallUntil = Now + 1;
       W.NoPenaltyWait = true; // Fermi has a full scoreboard.
     }
-    if (!W.Done)
-      G.enter(pipesAt(W.PC));
     // A warp's ready times and PC change only here, at its own issue.
-    if (static_cast<size_t>(W.PC) < Decoded.size() && Decoded[W.PC].RegsOk)
+    cachePC(W);
+    if (!W.Done)
+      G.enter(W.Pipes);
+    if (!W.TrapsAtIssue)
       W.ReadyAt = regsReadyCycle(W, Decoded[W.PC]);
-    if (W.LastIssue != Now) { // Not the second half of a pair.
-      auto It = std::find(G.ByLastIssue.begin(), G.ByLastIssue.end(), WarpIdx);
-      std::rotate(It, It + 1, G.ByLastIssue.end());
-    }
+    if (W.LastIssue != Now) // Not the second half of a pair.
+      G.makeNewest(Warps, WarpIdx);
     W.LastIssue = Now;
 
     // --- Statistics ----------------------------------------------------------
@@ -689,9 +681,13 @@ private:
         W.AtBarrier = false;
   }
 
-  /// Pipes of the instruction at \p PC, or 0 off the code.
-  PipeMask pipesAt(int PC) const {
-    return static_cast<size_t>(PC) < Decoded.size() ? Decoded[PC].Pipes : 0;
+  /// Caches in \p W what the scan reads of the instruction at its PC;
+  /// called at every PC change.
+  void cachePC(WarpContext &W) const {
+    const bool OnCode =
+        W.PC >= 0 && static_cast<size_t>(W.PC) < Decoded.size();
+    W.TrapsAtIssue = !OnCode || !Decoded[W.PC].RegsOk;
+    W.Pipes = OnCode ? Decoded[W.PC].Pipes : 0;
   }
 
   /// A lost slot decided without a per-warp issue check.
@@ -723,7 +719,7 @@ private:
     unsigned Busy = (PortFree[Sched] >= Limit ? PortBit : 0) |
                     (IssuePipeFree >= Limit ? IssueBit : 0);
     // A mask that meets the port or the issue pipe gets its verdict from
-    // them: the math and LD/ST pipes come later in blockedPipe's order.
+    // them: the math and LD/ST pipes come later in PipeBit order.
     if (G.Occupied & MasksFreeOf[Busy]) {
       const unsigned Late = (MathPipeFree >= Limit ? MathBit : 0) |
                             (LdstPipeFree >= Limit ? LdstBit : 0);
@@ -734,19 +730,20 @@ private:
     WarpBlock Cause = WarpBlock::None;
     for (unsigned Left = G.Occupied; Left != 0; Left &= Left - 1)
       Cause = std::max(Cause, firstBusy(std::countr_zero(Left) & Busy));
-    // ByLastIssue is oldest first. LastIssue values past 0 are distinct
-    // (one issue per scheduler per cycle), so only the warps at 0 -- not
-    // yet issued, or issued at cycle 0 -- can tie. Warps are distributed
-    // to schedulers by index, so warp WarpIdx is SchedWarps position
-    // WarpIdx / NumSchedulers.
+    // The LastIssue list runs oldest first. LastIssue values past 0 are
+    // distinct (one issue per scheduler per cycle), so only the warps at
+    // 0 -- not yet issued, or issued at cycle 0 -- can tie. Warps are
+    // distributed to schedulers by index, so warp WarpIdx is SchedWarps
+    // position WarpIdx / NumSchedulers.
     const int NumMine = static_cast<int>(SchedWarps[Sched].size());
     int Oldest = -1, OldestRank = 0;
-    for (int WarpIdx : G.ByLastIssue) {
+    for (int WarpIdx = G.Oldest; WarpIdx >= 0;
+         WarpIdx = Warps[WarpIdx].NewerByIssue) {
       const WarpContext &W = Warps[WarpIdx];
       if (W.LastIssue > 0 && Oldest >= 0)
         break;
       if (W.Done || W.AtBarrier || W.StallUntil > Now ||
-          firstBusy(Decoded[W.PC].Pipes & Busy) != Cause)
+          firstBusy(W.Pipes & Busy) != Cause)
         continue;
       if (W.LastIssue > 0)
         return GatedSlot{Cause, W.PC};
@@ -785,6 +782,7 @@ private:
       return Status::success();
     }
     const std::vector<int> &Mine = SchedWarps[Sched];
+    unsigned Busy = busyPipes(Sched);
     WarpBlock Best = WarpBlock::None;
     int BestPC = -1;
     uint64_t BestWait = 0;
@@ -794,9 +792,11 @@ private:
          ++Offset, Idx = Idx + 1 == NumMine ? 0 : Idx + 1) {
       const int WarpIdx = Mine[Idx];
       WarpContext &W = Warps[WarpIdx];
-      if (std::optional<WarpBlock> Why = blockReason(W, Sched)) {
-        if (*Why == WarpBlock::Scoreboard)
+      if (std::optional<WarpBlock> Why = blockReason(W, Busy)) {
+        if (*Why == WarpBlock::Scoreboard) {
           chargeReplay(W);
+          Busy = busyPipes(Sched); // A replay occupies the issue pipe.
+        }
         if (*Why > Best || (*Why == Best && *Why != WarpBlock::None &&
                             W.LastIssue < BestWait)) {
           Best = *Why;
@@ -823,7 +823,7 @@ private:
         if (F.DualIssue && F.StallCycles == 0 && !W.Done &&
             !W.AtBarrier) {
           W.StallUntil = Now; // The pair issues in the same cycle.
-          if (!blockReason(W, Sched)) {
+          if (!blockReason(W, busyPipes(Sched))) {
             IssuingDualSecond = true;
             issueOrTrap(WarpIdx, Sched);
             IssuingDualSecond = false;
@@ -839,7 +839,9 @@ private:
     return Status::success();
   }
 
-  /// Earliest cycle at which some warp might issue (UINT64_MAX if none).
+  /// Earliest cycle at which some warp might issue, or, once some warp
+  /// might issue by Now + 1, that warp's cycle: runLoop advances to at
+  /// least Now + 1 anyway. UINT64_MAX when no warp can ever issue.
   uint64_t nextWakeCycle() const {
     // Pipes may also be the blocker; the earliest-free one bounds every
     // warp alike.
@@ -853,10 +855,10 @@ private:
       uint64_t T = std::max(W.StallUntil, PipeFloor);
       // Warps sitting on an invalid PC or an invalid-register
       // instruction are immediately eligible: they trap at issue.
-      bool PCValid =
-          W.PC >= 0 && static_cast<size_t>(W.PC) < K.Code.size();
-      if (PCValid && Decoded[W.PC].RegsOk)
+      if (!W.TrapsAtIssue)
         T = std::max(T, W.ReadyAt);
+      if (T <= Now + 1)
+        return T;
       Min = std::min(Min, T);
     }
     return Min;
@@ -892,8 +894,9 @@ private:
   /// What gatedSlot reads of one scheduler, kept up to date at every
   /// issue.
   struct GateState {
-    /// The scheduler's warps by LastIssue, oldest first.
-    std::vector<int> ByLastIssue;
+    /// Ends of the scheduler's warps in LastIssue order, a list linked
+    /// through WarpContext::OlderByIssue/NewerByIssue (-1 when empty).
+    int Oldest = -1, Newest = -1;
     /// How many warps not done sit at an instruction of each PipeMask,
     /// and the masks with at least one (bit Mask set; 0 when every warp
     /// is done).
@@ -907,6 +910,25 @@ private:
     void leave(PipeMask P) {
       if (--AtPipes[P] == 0)
         Occupied &= static_cast<uint16_t>(~(1u << P));
+    }
+
+    /// Appends warp \p Idx, not in the list, as the newest.
+    void pushNewest(std::vector<WarpContext> &Warps, int Idx) {
+      WarpContext &W = Warps[Idx];
+      W.OlderByIssue = Newest;
+      W.NewerByIssue = -1;
+      (Newest >= 0 ? Warps[Newest].NewerByIssue : Oldest) = Idx;
+      Newest = Idx;
+    }
+    /// Moves warp \p Idx, in the list, to the newest end.
+    void makeNewest(std::vector<WarpContext> &Warps, int Idx) {
+      if (Idx == Newest)
+        return;
+      WarpContext &W = Warps[Idx];
+      (W.OlderByIssue >= 0 ? Warps[W.OlderByIssue].NewerByIssue : Oldest) =
+          W.NewerByIssue;
+      Warps[W.NewerByIssue].OlderByIssue = W.OlderByIssue;
+      pushNewest(Warps, Idx);
     }
   };
   std::vector<GateState> Gates;

@@ -20,16 +20,44 @@ inline constexpr int WarpSize = 32;
 
 /// Architectural plus timing state of one resident warp.
 struct WarpContext {
+  // --- Scheduler state ------------------------------------------------------
+  // Everything the simulator's per-cycle scan, slot gate and wake search
+  // read of a warp, kept together at the front so that one visit reads
+  // 48 contiguous bytes.
+  int PC = 0;
+  bool Done = false;
+  bool AtBarrier = false;
+  /// True when the previous instruction's notation set the yield flag:
+  /// scoreboard waits are free (no replay penalty) for the next issue.
+  bool NoPenaltyWait = false;
+  /// True when the warp traps as soon as it takes an issue slot: its PC
+  /// is off the code, or the instruction there references registers
+  /// outside the files. Kept by the simulator at every PC change.
+  bool TrapsAtIssue = false;
+  /// The simulator's pipe mask of the instruction at PC (0 when
+  /// TrapsAtIssue), kept at every PC change.
+  uint8_t Pipes = 0;
+  /// Warp may not issue before this cycle (control-notation stalls,
+  /// replay penalties).
+  uint64_t StallUntil = 0;
+  /// Cycle at which every operand of the instruction at PC is ready:
+  /// the latest RegReady/PredReady entry it reads or writes, kept by the
+  /// simulator (0 for a fresh warp, whose entries are all 0).
+  uint64_t ReadyAt = 0;
+  /// Round-robin ranking aid: cycle of last issue.
+  uint64_t LastIssue = 0;
+  /// Neighbours in the scheduler's last-issue order (indices into the
+  /// simulator's warps, -1 past either end), kept by the simulator.
+  int OlderByIssue = -1, NewerByIssue = -1;
+
   // --- Identity -----------------------------------------------------------
   int BlockSlot = 0;   ///< Index into the SM's resident-block array.
   int WarpInBlock = 0; ///< Warp index within its block.
   uint32_t ActiveMask = 0xffffffffu; ///< Lanes holding real threads.
 
   // --- Architectural state --------------------------------------------------
-  int PC = 0;
-  bool Done = false;
-  bool AtBarrier = false;
   /// 63 GPRs x 32 lanes; index Reg * WarpSize + Lane. RZ is not stored.
+  /// Once the warp runs, rows are written only through writeRow.
   std::vector<uint32_t> Regs;
   /// Per-lane predicate bits, one 32-bit mask per predicate register.
   std::array<uint32_t, NumPredRegs> Preds = {};
@@ -38,34 +66,51 @@ struct WarpContext {
   /// Cycle at which each register's pending write completes.
   std::array<uint64_t, 64> RegReady = {};
   std::array<uint64_t, NumPredRegs> PredReady = {};
-  /// Warp may not issue before this cycle (control-notation stalls,
-  /// replay penalties).
-  uint64_t StallUntil = 0;
-  /// True when the previous instruction's notation set the yield flag:
-  /// scoreboard waits are free (no replay penalty) for the next issue.
-  bool NoPenaltyWait = false;
-  /// Cycle at which every operand of the instruction at PC is ready:
-  /// the latest RegReady/PredReady entry it reads or writes, kept by the
-  /// simulator (0 for a fresh warp, whose entries are all 0).
-  uint64_t ReadyAt = 0;
-  /// Round-robin ranking aid: cycle of last issue.
-  uint64_t LastIssue = 0;
   /// Instructions issued by this warp (watchdog progress reporting).
   uint64_t InstsIssued = 0;
+
+  // --- Shared-access memo ---------------------------------------------------
+  /// Write generation of each register row, indexed by the register's
+  /// low six bits (the encoding's register field): writeRow bumps it, so
+  /// a row whose generation has not moved holds the values it held then.
+  /// A row past R63 shares a counter, which can only cost a memo miss.
+  std::array<uint64_t, 64> RowGen = {};
+  /// What a trap-free shared access found, for Executor::execute to reuse
+  /// while its address row is unchanged (see the executor for the key and
+  /// why reuse is exact). It holds one machine's bank serialization: a
+  /// warp runs on one machine between resets.
+  struct SharedAccessMemo {
+    uint64_t Gen = 0;      ///< RowGen of the address register.
+    int64_t MinBase = 0;   ///< Least address-register value of the lanes.
+    int64_t MaxBase = 0;   ///< Greatest address-register value.
+    double Serialization = 1.0;
+    uint32_t Mask = 0;     ///< Lanes that accessed (never 0).
+    uint8_t Reg = NoReg;   ///< Address register; NoReg for an empty slot.
+    uint8_t Width = 0;     ///< Access width in bytes.
+    uint8_t ImmResidue = 0; ///< Imm mod max(Width, bank bytes).
+    static constexpr uint8_t NoReg = 0xff;
+  };
+  /// One slot per address register modulo 4.
+  std::array<SharedAccessMemo, 4> SharedMemo = {};
 
   void reset(int NumRegs) {
     PC = 0;
     Done = false;
     AtBarrier = false;
+    NoPenaltyWait = false;
+    TrapsAtIssue = false;
+    Pipes = 0;
+    StallUntil = 0;
+    ReadyAt = 0;
+    LastIssue = 0;
+    OlderByIssue = NewerByIssue = -1;
     Regs.assign(static_cast<size_t>(NumRegs) * WarpSize, 0);
     Preds = {};
     RegReady = {};
     PredReady = {};
-    StallUntil = 0;
-    ReadyAt = 0;
-    NoPenaltyWait = false;
-    LastIssue = 0;
     InstsIssued = 0;
+    RowGen = {};
+    SharedMemo = {};
   }
 
   /// Number of allocated architectural registers for this warp.
@@ -84,6 +129,7 @@ struct WarpContext {
   uint32_t *writeRow(uint8_t Reg, uint32_t *Discard) {
     if (Reg == RegRZ || Reg >= numRegs())
       return Discard;
+    ++RowGen[Reg & 63];
     return Regs.data() + static_cast<size_t>(Reg) * WarpSize;
   }
   /// Predicate accessors are total: the encoding has 3-bit guard fields,

@@ -120,9 +120,11 @@ TEST(ExecutorFfma, SpecialCasesMatchHandResults) {
               Special[L].Expected)
         << "lane " << L;
   }
-  // The first case really is one where fusing matters.
-  const float Unfused = std::bit_cast<float>(Special[0].A) *
-                        std::bit_cast<float>(Special[0].B);
+  // The first case really is one where fusing matters. The product is
+  // rounded through a volatile, so that a compiler allowed to contract
+  // (-ffp-contract=fast) cannot fuse it with the sum below.
+  const volatile float Unfused = std::bit_cast<float>(Special[0].A) *
+                                 std::bit_cast<float>(Special[0].B);
   EXPECT_NE(bitsOf(Unfused + std::bit_cast<float>(Special[0].C)),
             Special[0].Expected);
 }
@@ -602,4 +604,277 @@ TEST(ExecutorMemory, FaultingLaneMatchesLaneLoop) {
                              accessName(IsShared, IsLoad, Width).c_str(),
                              Trial));
           }
+}
+
+// --- The shared-access memo --------------------------------------------------
+
+namespace {
+
+/// Registers of the memo tests: R0..R7 hold addresses and receive loads
+/// (so two address registers share each of the four memo slots), R8..R11
+/// hold store data.
+constexpr int MemoRegs = 12;
+constexpr uint8_t MemoDataReg = 8;
+
+/// A warp that keeps its memo across accesses, next to a fresh warp
+/// rebuilt from its registers and predicates before every access, each
+/// with its own copy of shared memory. Any disagreement in the effects,
+/// the registers or the memory is a memo defect.
+struct MemoRig {
+  GlobalMemory GM;
+  std::vector<uint32_t> Params;
+  LaunchDims Dims{1, 1, 32, 1};
+  Executor Exec;
+  SharedMemory WarmShared{SpaceBytes}, FreshShared{SpaceBytes};
+  WarpContext Warm;
+  /// Accesses that found their register's memo slot filled at the
+  /// register's current generation for the same lanes.
+  int WarmSlots = 0;
+
+  MemoRig(const MachineDesc &M, bool TimingOnly)
+      : Exec(M, GM, Params, Dims, TimingOnly) {
+    Warm.reset(MemoRegs);
+  }
+
+  void setRow(uint8_t Reg, const std::vector<uint32_t> &Values) {
+    uint32_t Discard[WarpSize];
+    std::copy(Values.begin(), Values.end(), Warm.writeRow(Reg, Discard));
+  }
+  void setWord(int64_t Addr, uint32_t V) {
+    std::memcpy(WarmShared.data() + Addr, &V, 4);
+    std::memcpy(FreshShared.data() + Addr, &V, 4);
+  }
+
+  /// Executes \p I on both warps; returns the warm warp's serialization,
+  /// and in \p Diff every way the two disagree (empty when none).
+  double step(const Instruction &I, std::string &Diff) {
+    WarpContext Fresh;
+    Fresh.reset(MemoRegs);
+    Fresh.ActiveMask = Warm.ActiveMask;
+    Fresh.Regs = Warm.Regs;
+    Fresh.Preds = Warm.Preds;
+    const WarpContext::SharedAccessMemo &Slot = Warm.SharedMemo[I.Src[0] & 3];
+    WarmSlots += Slot.Reg == I.Src[0] &&
+                 Slot.Gen == Warm.RowGen[I.Src[0] & 63] &&
+                 Slot.Mask == (Warm.ActiveMask & Warm.guardMask(I));
+    const ExecEffects Want = Exec.execute(I, Fresh, 0, FreshShared);
+    const ExecEffects Got = Exec.execute(I, Warm, 0, WarmShared);
+    Diff.clear();
+    if (Got.SharedSerialization != Want.SharedSerialization)
+      Diff += formatString("serialization %g, fresh %g; ",
+                           Got.SharedSerialization, Want.SharedSerialization);
+    if (Got.Trap != Want.Trap || Got.TrapLane != Want.TrapLane ||
+        Got.TrapAddress != Want.TrapAddress ||
+        Got.TrapDetail != Want.TrapDetail)
+      Diff += formatString("trap %s lane %d address %llu, fresh %s lane %d "
+                           "address %llu; ",
+                           trapKindName(Got.Trap), Got.TrapLane,
+                           static_cast<unsigned long long>(Got.TrapAddress),
+                           trapKindName(Want.Trap), Want.TrapLane,
+                           static_cast<unsigned long long>(Want.TrapAddress));
+    if (Warm.Regs != Fresh.Regs)
+      Diff += "registers differ; ";
+    if (std::memcmp(WarmShared.data(), FreshShared.data(), SpaceBytes) != 0)
+      Diff += "shared memory differs; ";
+    return Got.SharedSerialization;
+  }
+};
+
+/// An address row for \p Width-byte accesses: randomSharedPattern's
+/// aligned lanes, or the same with some lanes moved off the common
+/// residue, or with the lowest or the highest lane at an end of the
+/// allocation (a negative or positive Imm then puts it out of bounds).
+std::vector<uint32_t> memoAddressRow(Rng &R, int Width) {
+  std::vector<int64_t> Addrs = randomSharedPattern(R, Width, SpaceBytes);
+  switch (R.nextBelow(5)) {
+  case 0:
+    for (int64_t &A : Addrs)
+      if (R.nextBelow(4) == 0)
+        A += Width == 4 ? 2 : 4 * R.nextInRange(1, Width / 4 - 1);
+    break;
+  case 1:
+    Addrs.front() = 0;
+    break;
+  case 2:
+    Addrs.back() = SpaceBytes - Width;
+    break;
+  default:
+    break;
+  }
+  return std::vector<uint32_t>(Addrs.begin(), Addrs.end());
+}
+
+uint32_t memoMask(Rng &R) {
+  switch (R.nextBelow(4)) {
+  case 0:
+    return 0;
+  case 1:
+    return static_cast<uint32_t>(R.next());
+  default:
+    return FullMask;
+  }
+}
+
+} // namespace
+
+// Random sequences of LDS/STS on GTX580 (4-byte banks) and GTX680
+// (8-byte banks): widths 4/8/16, full, partial and empty lane masks,
+// positive, negative and residue-changing offsets, aligned and
+// mixed-residue address rows, out-of-bounds lowest and highest lanes,
+// loads into address registers and rewritten rows. Every access must
+// agree with a fresh warp's.
+TEST(ExecutorSharedMemo, WarmWarpMatchesFreshWarp) {
+  Rng R(27);
+  for (const MachineDesc *M : {&gtx580(), &gtx680()})
+    for (bool TimingOnly : {false, true}) {
+      MemoRig Rig(*M, TimingOnly);
+      // Plausible addresses in memory, so loaded rows address it.
+      for (int64_t Addr = 0; Addr < SpaceBytes; Addr += 4)
+        Rig.setWord(Addr, static_cast<uint32_t>(
+                              R.nextBelow(2) ? R.nextBelow(SpaceBytes / 16) * 16
+                                             : R.next()));
+      for (uint8_t Reg = 0; Reg < MemoRegs; ++Reg)
+        Rig.setRow(Reg, memoAddressRow(R, 16));
+      int Accesses = 0;
+      // Like a kernel's loop, runs of accesses share a register and a
+      // width, which is what warms the memo.
+      MemWidth MW = MemWidth::B32;
+      uint8_t Reg = 0;
+      for (int Step = 0; Step < 6000; ++Step) {
+        const std::string Where = formatString(
+            "%s%s step %d", M->Name.c_str(),
+            TimingOnly ? " timing-only" : "", Step);
+        if (R.nextBelow(4) == 0)
+          MW = AllWidths[R.nextBelow(3)];
+        if (R.nextBelow(4) == 0)
+          Reg = static_cast<uint8_t>(R.nextBelow(8));
+        const int Width = memWidthBytes(MW);
+        const int Chunk = std::max(Width, M->SharedMemBankBytes);
+        switch (R.nextBelow(20)) {
+        case 0:
+        case 1:
+          Rig.setRow(Reg, memoAddressRow(R, Width));
+          continue;
+        case 2:
+          Rig.Warm.Preds[0] = memoMask(R);
+          continue;
+        case 3:
+          Rig.Warm.ActiveMask = R.nextBelow(4) ? FullMask : memoMask(R);
+          continue;
+        case 4: { // A rewrite through the executor.
+          std::string Diff;
+          Rig.step(makeIADDImm(Reg, Reg, 4 * R.nextInRange(-4, 4)), Diff);
+          ASSERT_EQ(Diff, "") << Where;
+          continue;
+        }
+        default:
+          break;
+        }
+        const int32_t Imms[] = {0,      4,      -4,         Width,
+                                -Width, Chunk,  -Chunk,     2 * Chunk,
+                                64,     -64,    SpaceBytes, 2 * Width + 4};
+        const int32_t Imm = Imms[R.nextBelow(std::size(Imms))];
+        const bool IsLoad = R.nextBelow(2);
+        Instruction I =
+            IsLoad ? makeLDS(MW,
+                             R.nextBelow(3) ? MemoDataReg
+                                            : static_cast<uint8_t>(
+                                                  R.nextBelow(8)),
+                             Reg, Imm)
+                   : makeSTS(MW, Reg, Imm, MemoDataReg);
+        if (R.nextBelow(3) == 0) {
+          I.GuardPred = 0;
+          I.GuardNeg = R.nextBelow(2);
+        }
+        std::string Diff;
+        Rig.step(I, Diff);
+        ASSERT_EQ(Diff, "") << Where << ": " << I.toString();
+        ++Accesses;
+      }
+      // The memo was warm for a good share of the accesses.
+      EXPECT_GT(Rig.WarmSlots, Accesses / 6) << M->Name;
+    }
+}
+
+// LDS R4, [R4]: the load rewrites its own address row after the memo
+// key's generation was taken, so it must neither read nor fill the memo.
+TEST(ExecutorSharedMemo, LoadIntoItsOwnAddressRegister) {
+  MemoRig Rig(gtx580(), /*TimingOnly=*/false);
+  std::vector<uint32_t> Row(WarpSize);
+  for (int L = 0; L < WarpSize; ++L) {
+    Row[L] = 4 * L;
+    // Each lane loads an address in bank 0: a 32-way conflict next time.
+    Rig.setWord(4 * L, 128 * L);
+  }
+  Rig.setRow(4, Row);
+  std::string Diff;
+  EXPECT_EQ(Rig.step(makeLDS(MemWidth::B32, 5, 4, 0), Diff), 1.0);
+  EXPECT_EQ(Diff, "");
+  EXPECT_EQ(Rig.step(makeLDS(MemWidth::B32, 4, 4, 0), Diff), 1.0);
+  EXPECT_EQ(Diff, "");
+  EXPECT_EQ(Rig.step(makeLDS(MemWidth::B32, 5, 4, 0), Diff), 32.0);
+  EXPECT_EQ(Diff, "");
+}
+
+// A row rewritten between two accesses -- directly, by an executed
+// instruction, or by another access's load -- is read again.
+TEST(ExecutorSharedMemo, RewrittenRowIsReadAgain) {
+  MemoRig Rig(gtx580(), /*TimingOnly=*/false);
+  std::vector<uint32_t> Row(WarpSize), Loads(WarpSize);
+  for (int L = 0; L < WarpSize; ++L) {
+    Row[L] = 4 * L;
+    Loads[L] = 1024 + 4 * L;
+    Rig.setWord(1024 + 4 * L, 128 * L);
+  }
+  Rig.setRow(0, Row);
+  Rig.setRow(2, Loads);
+  std::string Diff;
+  EXPECT_EQ(Rig.step(makeLDS(MemWidth::B32, 5, 0, 0), Diff), 1.0);
+  EXPECT_EQ(Diff, "");
+  // R0 = 128L, loaded.
+  EXPECT_EQ(Rig.step(makeLDS(MemWidth::B32, 0, 2, 0), Diff), 1.0);
+  EXPECT_EQ(Diff, "");
+  EXPECT_EQ(Rig.step(makeLDS(MemWidth::B32, 5, 0, 0), Diff), 32.0);
+  EXPECT_EQ(Diff, "");
+  Rig.setRow(0, Row);
+  EXPECT_EQ(Rig.step(makeLDS(MemWidth::B32, 5, 0, 0), Diff), 1.0);
+  EXPECT_EQ(Diff, "");
+  EXPECT_EQ(Rig.step(makeLDS(MemWidth::B32, 5, 0, 4), Diff), 1.0);
+  EXPECT_EQ(Diff, "");
+  // 4L << 5 = 128L: every lane in bank 0.
+  Rig.step(makeSHLImm(0, 0, 5), Diff);
+  EXPECT_EQ(Diff, "");
+  EXPECT_EQ(Rig.step(makeLDS(MemWidth::B32, 5, 0, 0), Diff), 32.0);
+  EXPECT_EQ(Diff, "");
+  // Back to 4L, written directly; lane 31 now runs off the end at +4.
+  Rig.setRow(0, Row);
+  EXPECT_EQ(Rig.step(makeLDS(MemWidth::B32, 5, 0, 0), Diff), 1.0);
+  EXPECT_EQ(Diff, "");
+  Row[31] = SpaceBytes - 4;
+  Rig.setRow(0, Row);
+  Rig.step(makeLDS(MemWidth::B32, 5, 0, 4), Diff);
+  EXPECT_EQ(Diff, "");
+}
+
+// GTX680 LDS.32 with bases 0 and 260: at Imm 0 the lanes fall in chunks
+// 0 and 32 of bank group 0 (degree 2); at Imm 4 in chunks 0 and 33, two
+// groups (degree 1); at Imm 8, a multiple of the 8-byte chunk, in chunks
+// 1 and 33 of group 1 again. A key without Imm mod the chunk would serve
+// Imm 4 the degree of Imm 0.
+TEST(ExecutorSharedMemo, ImmResidueChangesTheBankGroups) {
+  MemoRig Rig(gtx680(), /*TimingOnly=*/false);
+  Rig.Warm.ActiveMask = 0x3;
+  std::vector<uint32_t> Row(WarpSize, 0);
+  Row[1] = 260;
+  Rig.setRow(0, Row);
+  std::string Diff;
+  for (auto [Imm, Want] :
+       {std::pair{0, 2.0}, {4, 1.0}, {8, 2.0}, {0, 2.0}, {12, 1.0}}) {
+    EXPECT_EQ(Rig.step(makeLDS(MemWidth::B32, 5, 0, Imm), Diff), Want)
+        << "Imm " << Imm;
+    EXPECT_EQ(Diff, "") << "Imm " << Imm;
+  }
+  // Imm -8 keeps the residue of Imm 0 but puts lane 0 out of bounds.
+  Rig.step(makeLDS(MemWidth::B32, 5, 0, -8), Diff);
+  EXPECT_EQ(Diff, "");
 }
