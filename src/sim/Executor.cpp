@@ -237,28 +237,36 @@ ExecEffects Executor::execute(const Instruction &I, WarpContext &W,
       }
     }
     // The shared-access memo: a slot keyed by the address register, its
-    // write generation, the lane mask, the width and Imm mod ChunkBytes
-    // holds the extremes of the lanes' address-register values and the
-    // serialization of a trap-free access. A hit whose shifted extremes
-    // are in bounds needs no per-lane check: its Imm differs from the
-    // filling access's by a multiple of ChunkBytes, a multiple of Width,
-    // so every lane is aligned as it was then, and every lane's chunk
+    // write generation, the lane mask and the width holds the extremes of
+    // the lanes' address-register values and, per Imm class
+    // (Imm mod ChunkBytes) / Width, the serialization of a trap-free
+    // access of that class. Every base row in a slot passed a trap-free
+    // access, so all its lanes share one residue mod Width, and a hit
+    // whose least lane is aligned and whose shifted extremes are in
+    // bounds needs no per-lane check. Two aligned Imms of one class
+    // differ by a multiple of ChunkBytes, so every lane's chunk
     // (sharedSerialization) moves by the same count, which permutes the
-    // bank groups and keeps each group's count of distinct chunks. A load
-    // into its own address row changes that row after writeRow bumped its
-    // generation, so it neither reads nor fills the memo.
+    // bank groups and keeps each group's count of distinct chunks. A key
+    // match whose class is not filled yet runs the lane path and fills
+    // that class alone. A load into its own address row changes that row
+    // after writeRow bumped its generation, so it neither reads nor
+    // fills the memo.
     WarpContext::SharedAccessMemo *Memo = nullptr;
-    bool Memoized = false;
-    uint8_t ImmResidue = 0;
+    bool KeyMatch = false, Memoized = false;
+    int ImmClass = 0;
     if (IsShared && Mask != 0 && !LoadsIntoAddrRow) {
       const int ChunkBytes = std::max(Width, M.SharedMemBankBytes);
-      ImmResidue = static_cast<uint8_t>(I.Imm & (ChunkBytes - 1));
-      Memo = &W.SharedMemo[AddrReg & 3];
-      Memoized = Memo->Reg == AddrReg &&
-                 Memo->Gen == W.RowGen[AddrReg & 63] && Memo->Mask == Mask &&
-                 Memo->Width == Width && Memo->ImmResidue == ImmResidue &&
-                 Memo->MinBase + I.Imm >= 0 &&
-                 Memo->MaxBase + I.Imm + Width <= Shared.size();
+      ImmClass = (I.Imm & (ChunkBytes - 1)) / Width;
+      if (ImmClass < WarpContext::SharedAccessMemo::MaxClasses) {
+        Memo = &W.SharedMemo[AddrReg & 3];
+        KeyMatch = Memo->Reg == AddrReg &&
+                   Memo->Gen == W.RowGen[AddrReg & 63] &&
+                   Memo->Mask == Mask && Memo->Width == Width;
+        Memoized = KeyMatch && ((Memo->Filled >> ImmClass) & 1) &&
+                   ((Memo->MinBase + I.Imm) & (Width - 1)) == 0 &&
+                   Memo->MinBase + I.Imm >= 0 &&
+                   Memo->MaxBase + I.Imm + Width <= Shared.size();
+      }
     }
     // First pass, free of side effects: the address of each active lane,
     // ascending, up to the first lane that would fault. A memo hit checks
@@ -293,24 +301,34 @@ ExecEffects Executor::execute(const Instruction &I, WarpContext &W,
     }
     // Second pass: move the words of the lanes that passed, in the same
     // order, so a faulting access keeps the earlier lanes' effects. A
-    // timing-only executor moves none.
+    // timing-only executor moves none. Each kind of move runs its own
+    // loop, so no word tests the kind.
     const int NumMoved = TimingOnly ? 0 : NumAddrs;
-    uint8_t *SharedBytes = Shared.data();
-    uint32_t Lanes = Mask;
-    for (int Idx = 0; Idx < NumMoved; ++Idx, Lanes &= Lanes - 1) {
-      const int Lane = std::countr_zero(Lanes);
-      for (int Word = 0; Word < Words; ++Word) {
-        const int64_t A = Addrs[Idx] + 4 * Word;
-        if (IsShared && IsLoad)
-          std::memcpy(&LoadRows[Word][Lane], SharedBytes + A, 4);
-        else if (IsShared)
-          std::memcpy(SharedBytes + A, &StoreRows[Word][Lane], 4);
-        else if (IsLoad)
-          LoadRows[Word][Lane] = Global.load32(static_cast<uint32_t>(A));
-        else
-          Global.store32(static_cast<uint32_t>(A), StoreRows[Word][Lane]);
+    auto MoveWords = [&](auto &&Move) {
+      uint32_t Lanes = Mask;
+      for (int Idx = 0; Idx < NumMoved; ++Idx, Lanes &= Lanes - 1) {
+        const int Lane = std::countr_zero(Lanes);
+        for (int Word = 0; Word < Words; ++Word)
+          Move(Addrs[Idx] + 4 * Word, Lane, Word);
       }
-    }
+    };
+    uint8_t *SharedBytes = Shared.data();
+    if (IsShared && IsLoad)
+      MoveWords([&](int64_t A, int Lane, int Word) {
+        std::memcpy(&LoadRows[Word][Lane], SharedBytes + A, 4);
+      });
+    else if (IsShared)
+      MoveWords([&](int64_t A, int Lane, int Word) {
+        std::memcpy(SharedBytes + A, &StoreRows[Word][Lane], 4);
+      });
+    else if (IsLoad)
+      MoveWords([&](int64_t A, int Lane, int Word) {
+        LoadRows[Word][Lane] = Global.load32(static_cast<uint32_t>(A));
+      });
+    else
+      MoveWords([&](int64_t A, int Lane, int Word) {
+        Global.store32(static_cast<uint32_t>(A), StoreRows[Word][Lane]);
+      });
     if (BadLane >= 0) {
       Fx.TrapAddress = static_cast<uint64_t>(BadAddr);
       if ((BadAddr & (Width - 1)) != 0)
@@ -329,20 +347,23 @@ ExecEffects Executor::execute(const Instruction &I, WarpContext &W,
                        IsShared ? "shared" : "global"));
     }
     if (Memoized) {
-      Fx.SharedSerialization = Memo->Serialization;
+      Fx.SharedSerialization = Memo->Serialization[ImmClass];
     } else if (IsShared) {
       Fx.SharedSerialization = sharedSerialization(
           Addrs, NumAddrs, Width, M.SharedMemBanks, M.SharedMemBankBytes);
       if (Memo) {
-        const auto [Min, Max] = std::minmax_element(Addrs, Addrs + NumAddrs);
-        *Memo = {.Gen = W.RowGen[AddrReg & 63],
-                 .MinBase = *Min - I.Imm,
-                 .MaxBase = *Max - I.Imm,
-                 .Serialization = Fx.SharedSerialization,
-                 .Mask = Mask,
-                 .Reg = AddrReg,
-                 .Width = static_cast<uint8_t>(Width),
-                 .ImmResidue = ImmResidue};
+        if (!KeyMatch) {
+          const auto [Min, Max] =
+              std::minmax_element(Addrs, Addrs + NumAddrs);
+          *Memo = {.Gen = W.RowGen[AddrReg & 63],
+                   .MinBase = *Min - I.Imm,
+                   .MaxBase = *Max - I.Imm,
+                   .Mask = Mask,
+                   .Reg = AddrReg,
+                   .Width = static_cast<uint8_t>(Width)};
+        }
+        Memo->Serialization[ImmClass] = Fx.SharedSerialization;
+        Memo->Filled |= static_cast<uint8_t>(1u << ImmClass);
       }
     } else {
       // Coalescing: distinct 128-byte segments touched by the warp. An

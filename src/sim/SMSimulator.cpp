@@ -173,25 +173,26 @@ private:
       for (const BlockState &B : Blocks)
         Obs->fire(ProbeEvent::BlockScheduled,
                   {.Block = B.BlockIdLinear, .Cycle = 0});
+    // The first scheduler served, Now mod NumSchedulers: the service
+    // order rotates each cycle, because the SM-wide issue pipe is a
+    // shared resource and a fixed order would systematically starve the
+    // last scheduler's warps.
+    int FirstSched =
+        static_cast<int>(Now % static_cast<uint64_t>(NumSchedulers));
     while (LiveWarps > 0) {
       if (Now >= Budget) {
         raiseWatchdogTrap();
         return Expected<SimStats>::error(Trap->toString());
       }
       bool IssuedAny = false;
-      // Rotate the scheduler service order each cycle: the SM-wide issue
-      // pipe is a shared resource, and a fixed order would systematically
-      // starve the last scheduler's warps.
-      const int FirstSched =
-          static_cast<int>(Now % static_cast<uint64_t>(NumSchedulers));
       for (int Step = 0, Sched = FirstSched; Step < NumSchedulers;
            ++Step, Sched = Sched + 1 == NumSchedulers ? 0 : Sched + 1)
-        if (Status S = runScheduler(Sched, IssuedAny); S.failed())
-          return Expected<SimStats>(S);
+        runScheduler(Sched, IssuedAny);
       if (Trap)
         return Expected<SimStats>::error(Trap->toString());
       if (IssuedAny) {
         ++Now;
+        FirstSched = FirstSched + 1 == NumSchedulers ? 0 : FirstSched + 1;
         continue;
       }
       uint64_t Next = nextWakeCycle();
@@ -211,6 +212,8 @@ private:
           accountStall(S, SchedBlocked[S], SchedBlockedPC[S], Now + 1,
                        Skipped);
       Now = NewNow;
+      FirstSched =
+          static_cast<int>(Now % static_cast<uint64_t>(NumSchedulers));
     }
     Stats.Cycles = Now;
     Stats.AggregateCycles = Now;
@@ -573,7 +576,7 @@ private:
       W.PredReady[D.PredDst] = Now + static_cast<uint64_t>(M.MathLatency);
 
     // --- Control effects --------------------------------------------------------
-    GateState &G = Gates[WarpIdx % NumSchedulers];
+    GateState &G = Gates[Sched];
     G.leave(W.Pipes);
     bool WarpExited = false, BlockDrained = false;
     if (Fx.IsExit) {
@@ -768,7 +771,7 @@ private:
     accountStall(Sched, B, PC, Now, 1);
   }
 
-  Status runScheduler(int Sched, bool &IssuedAny) {
+  void runScheduler(int Sched, bool &IssuedAny) {
     // The scheduler's one issue slot this cycle: either some warp issues,
     // or the slot is attributed to the highest-priority reason any of its
     // warps could not (see WarpBlock's ordering). For the profile the
@@ -779,7 +782,7 @@ private:
     // can.
     if (const std::optional<GatedSlot> Slot = gatedSlot(Sched)) {
       loseSlot(Sched, Slot->Cause, Slot->PC);
-      return Status::success();
+      return;
     }
     const std::vector<int> &Mine = SchedWarps[Sched];
     unsigned Busy = busyPipes(Sched);
@@ -810,7 +813,7 @@ private:
       const int PCBefore = W.PC;
       issueOrTrap(WarpIdx, Sched);
       if (Trap)
-        return Status::success();
+        return;
       IssuedAny = true;
       ++Stats.Breakdown[SlotUse::Issued];
       RRNext[Sched] = Idx + 1 == NumMine ? 0 : Idx + 1;
@@ -833,10 +836,9 @@ private:
             W.StallUntil = Now + 1;
         }
       }
-      return Status::success();
+      return;
     }
     loseSlot(Sched, Best, BestPC);
-    return Status::success();
   }
 
   /// Earliest cycle at which some warp might issue, or, once some warp

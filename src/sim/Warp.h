@@ -75,19 +75,23 @@ struct WarpContext {
   /// a row whose generation has not moved holds the values it held then.
   /// A row past R63 shares a counter, which can only cost a memo miss.
   std::array<uint64_t, 64> RowGen = {};
-  /// What a trap-free shared access found, for Executor::execute to reuse
-  /// while its address row is unchanged (see the executor for the key and
-  /// why reuse is exact). It holds one machine's bank serialization: a
-  /// warp runs on one machine between resets.
+  /// What trap-free shared accesses found, for Executor::execute to reuse
+  /// while their address row is unchanged (see the executor for the key
+  /// and why reuse is exact). It holds one machine's bank serializations:
+  /// a warp runs on one machine between resets.
   struct SharedAccessMemo {
+    /// Imm classes, (Imm mod max(Width, bank bytes)) / Width, a slot
+    /// holds: bank bytes / Width, at most 8 / 4 on the modelled machines.
+    static constexpr int MaxClasses = 2;
     uint64_t Gen = 0;      ///< RowGen of the address register.
     int64_t MinBase = 0;   ///< Least address-register value of the lanes.
     int64_t MaxBase = 0;   ///< Greatest address-register value.
-    double Serialization = 1.0;
+    /// Serialization of each Imm class, valid where Filled has its bit.
+    std::array<double, MaxClasses> Serialization = {};
     uint32_t Mask = 0;     ///< Lanes that accessed (never 0).
     uint8_t Reg = NoReg;   ///< Address register; NoReg for an empty slot.
     uint8_t Width = 0;     ///< Access width in bytes.
-    uint8_t ImmResidue = 0; ///< Imm mod max(Width, bank bytes).
+    uint8_t Filled = 0;    ///< Bit C set once class C has been filled.
     static constexpr uint8_t NoReg = 0xff;
   };
   /// One slot per address register modulo 4.

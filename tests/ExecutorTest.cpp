@@ -627,12 +627,17 @@ struct MemoRig {
   Executor Exec;
   SharedMemory WarmShared{SpaceBytes}, FreshShared{SpaceBytes};
   WarpContext Warm;
+  int BankBytes;
   /// Accesses that found their register's memo slot filled at the
   /// register's current generation for the same lanes.
   int WarmSlots = 0;
+  /// Of those, the ones of the slot's width whose Imm class,
+  /// (Imm mod the chunk) / width, the slot had filled, by class.
+  int FilledClass[2] = {};
 
   MemoRig(const MachineDesc &M, bool TimingOnly)
-      : Exec(M, GM, Params, Dims, TimingOnly) {
+      : Exec(M, GM, Params, Dims, TimingOnly),
+        BankBytes(M.SharedMemBankBytes) {
     Warm.reset(MemoRegs);
   }
 
@@ -654,9 +659,14 @@ struct MemoRig {
     Fresh.Regs = Warm.Regs;
     Fresh.Preds = Warm.Preds;
     const WarpContext::SharedAccessMemo &Slot = Warm.SharedMemo[I.Src[0] & 3];
-    WarmSlots += Slot.Reg == I.Src[0] &&
-                 Slot.Gen == Warm.RowGen[I.Src[0] & 63] &&
-                 Slot.Mask == (Warm.ActiveMask & Warm.guardMask(I));
+    const int Width = memWidthBytes(I.Width);
+    const int Class = (I.Imm & (std::max(Width, BankBytes) - 1)) / Width;
+    if (Slot.Reg == I.Src[0] && Slot.Gen == Warm.RowGen[I.Src[0] & 63] &&
+        Slot.Mask == (Warm.ActiveMask & Warm.guardMask(I))) {
+      ++WarmSlots;
+      FilledClass[Class] +=
+          Slot.Width == Width && ((Slot.Filled >> Class) & 1);
+    }
     const ExecEffects Want = Exec.execute(I, Fresh, 0, FreshShared);
     const ExecEffects Got = Exec.execute(I, Warm, 0, WarmShared);
     Diff.clear();
@@ -736,6 +746,7 @@ TEST(ExecutorSharedMemo, WarmWarpMatchesFreshWarp) {
       for (uint8_t Reg = 0; Reg < MemoRegs; ++Reg)
         Rig.setRow(Reg, memoAddressRow(R, 16));
       int Accesses = 0;
+      int32_t AltImm = 0;
       // Like a kernel's loop, runs of accesses share a register and a
       // width, which is what warms the memo.
       MemWidth MW = MemWidth::B32;
@@ -773,7 +784,14 @@ TEST(ExecutorSharedMemo, WarmWarpMatchesFreshWarp) {
         const int32_t Imms[] = {0,      4,      -4,         Width,
                                 -Width, Chunk,  -Chunk,     2 * Chunk,
                                 64,     -64,    SpaceBytes, 2 * Width + 4};
-        const int32_t Imm = Imms[R.nextBelow(std::size(Imms))];
+        int32_t Imm = Imms[R.nextBelow(std::size(Imms))];
+        // Where a chunk holds two widths (LDS.32 on 8-byte banks), half
+        // the accesses step between Imm classes, as an unrolled kernel
+        // reading consecutive words from one address register does.
+        if (Chunk > Width && R.nextBelow(2)) {
+          AltImm = (AltImm + (R.nextBelow(4) ? Width : -Width)) % 64;
+          Imm = AltImm;
+        }
         const bool IsLoad = R.nextBelow(2);
         Instruction I =
             IsLoad ? makeLDS(MW,
@@ -791,8 +809,13 @@ TEST(ExecutorSharedMemo, WarmWarpMatchesFreshWarp) {
         ASSERT_EQ(Diff, "") << Where << ": " << I.toString();
         ++Accesses;
       }
-      // The memo was warm for a good share of the accesses.
+      // The memo was warm for a good share of the accesses, and on
+      // 8-byte banks it held both classes of LDS.32 often.
       EXPECT_GT(Rig.WarmSlots, Accesses / 6) << M->Name;
+      EXPECT_GT(Rig.FilledClass[0], Accesses / 20) << M->Name;
+      if (M->SharedMemBankBytes == 8) {
+        EXPECT_GT(Rig.FilledClass[1], Accesses / 100) << M->Name;
+      }
     }
 }
 
@@ -859,8 +882,9 @@ TEST(ExecutorSharedMemo, RewrittenRowIsReadAgain) {
 // GTX680 LDS.32 with bases 0 and 260: at Imm 0 the lanes fall in chunks
 // 0 and 32 of bank group 0 (degree 2); at Imm 4 in chunks 0 and 33, two
 // groups (degree 1); at Imm 8, a multiple of the 8-byte chunk, in chunks
-// 1 and 33 of group 1 again. A key without Imm mod the chunk would serve
-// Imm 4 the degree of Imm 0.
+// 1 and 33 of group 1 again. Imms 0 and 8 are class 0, Imms 4 and 12
+// class 1: a memo serving one class's serialization for the other would
+// give Imm 4 the degree of Imm 0.
 TEST(ExecutorSharedMemo, ImmResidueChangesTheBankGroups) {
   MemoRig Rig(gtx680(), /*TimingOnly=*/false);
   Rig.Warm.ActiveMask = 0x3;
@@ -877,4 +901,54 @@ TEST(ExecutorSharedMemo, ImmResidueChangesTheBankGroups) {
   // Imm -8 keeps the residue of Imm 0 but puts lane 0 out of bounds.
   Rig.step(makeLDS(MemWidth::B32, 5, 0, -8), Diff);
   EXPECT_EQ(Diff, "");
+}
+
+// The same two lanes with Imm alternating between 0 (degree 2) and 4
+// (degree 1): the first access of each class fills it, and from then on
+// both classes are served from one slot, neither evicting the other.
+TEST(ExecutorSharedMemo, AlternatingImmClassesShareOneSlot) {
+  MemoRig Rig(gtx680(), /*TimingOnly=*/false);
+  Rig.Warm.ActiveMask = 0x3;
+  std::vector<uint32_t> Row(WarpSize, 0);
+  Row[1] = 260;
+  Rig.setRow(0, Row);
+  std::string Diff;
+  for (int Step = 0; Step < 8; ++Step) {
+    const int32_t Imm = Step % 2 ? 4 : 0;
+    EXPECT_EQ(Rig.step(makeLDS(MemWidth::B32, 5, 0, Imm), Diff),
+              Imm ? 1.0 : 2.0)
+        << "step " << Step;
+    EXPECT_EQ(Diff, "") << "step " << Step;
+  }
+  EXPECT_EQ(Rig.Warm.SharedMemo[0].Filled, 0x3);
+  // Steps 2..7 found their class filled.
+  EXPECT_EQ(Rig.FilledClass[0], 3);
+  EXPECT_EQ(Rig.FilledClass[1], 3);
+}
+
+// An aligned access fills class 0; Imm 2 is class 0 too, but misaligns
+// every lane, so it must take the lane path and trap as a fresh warp
+// does, at lane 0 and address 2; Imm 2 past a class-1 fill likewise.
+TEST(ExecutorSharedMemo, MisalignedImmOfAFilledClassTraps) {
+  for (const MachineDesc *M : {&gtx580(), &gtx680()}) {
+    MemoRig Rig(*M, /*TimingOnly=*/false);
+    std::vector<uint32_t> Row(WarpSize);
+    for (int L = 0; L < WarpSize; ++L)
+      Row[L] = 8 * L;
+    Rig.setRow(0, Row);
+    std::string Diff;
+    for (int32_t Imm : {0, 2, 4, 6}) {
+      Rig.step(makeLDS(MemWidth::B32, 5, 0, Imm), Diff);
+      EXPECT_EQ(Diff, "") << M->Name << " Imm " << Imm;
+    }
+    Rig.step(makeLDS(MemWidth::B32, 5, 0, 2), Diff);
+    EXPECT_EQ(Diff, "") << M->Name;
+    // The trap itself, not only agreement with the fresh warp.
+    WarpContext &W = Rig.Warm;
+    const ExecEffects Fx = Rig.Exec.execute(
+        makeLDS(MemWidth::B32, 5, 0, 2), W, 0, Rig.WarmShared);
+    EXPECT_EQ(Fx.Trap, TrapKind::MisalignedAccess) << M->Name;
+    EXPECT_EQ(Fx.TrapLane, 0) << M->Name;
+    EXPECT_EQ(Fx.TrapAddress, 2u) << M->Name;
+  }
 }

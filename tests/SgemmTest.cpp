@@ -23,6 +23,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -535,4 +536,105 @@ TEST(SgemmErrors, RejectsEmptyProblem) {
   auto R = runSgemm(gtx580(), SgemmImpl::AsmTuned,
                     problem(GemmVariant::NN, 0, 96, 16));
   EXPECT_FALSE(R.hasValue());
+}
+
+// --- The host reference ------------------------------------------------------
+
+namespace {
+
+/// An entry of a reference test operand: mostly a unit float, sometimes
+/// a signed zero or a subnormal, rarely an infinity, so that most of a
+/// K = 64 chain's elements stay finite and their rounding is compared.
+float referenceOperand(Rng &R) {
+  switch (R.nextBelow(512)) {
+  case 0:
+  case 1:
+    return 0.0f;
+  case 2:
+  case 3:
+    return -0.0f;
+  case 4:
+  case 5:
+    return std::numeric_limits<float>::denorm_min();
+  case 6:
+  case 7:
+    return -1e-40f;
+  case 8:
+    return std::numeric_limits<float>::infinity();
+  case 9:
+    return -std::numeric_limits<float>::infinity();
+  default:
+    return R.nextUnitFloat();
+  }
+}
+
+/// C := alpha * op(A) * op(B) + beta * C one element at a time, written
+/// from the definition: an fma chain over ascending k from zero, then
+/// fma(acc, alpha, beta * c).
+void naiveSgemm(GemmVariant V, int M, int N, int K, float Alpha,
+                const std::vector<float> &A, int Lda,
+                const std::vector<float> &B, int Ldb, float Beta,
+                std::vector<float> &C, int Ldc) {
+  for (int J = 0; J < N; ++J)
+    for (int I = 0; I < M; ++I) {
+      float Acc = 0.0f;
+      for (int KIdx = 0; KIdx < K; ++KIdx) {
+        const float OpA = transA(V) ? A[size_t(I) * Lda + KIdx]
+                                    : A[size_t(KIdx) * Lda + I];
+        const float OpB = transB(V) ? B[size_t(KIdx) * Ldb + J]
+                                    : B[size_t(J) * Ldb + KIdx];
+        Acc = std::fma(OpA, OpB, Acc);
+      }
+      float &Out = C[size_t(J) * Ldc + I];
+      Out = std::fma(Acc, Alpha, Beta * Out);
+    }
+}
+
+} // namespace
+
+// referenceSgemm against the naive oracle, bit for bit (NaN for NaN), on
+// every variant, lengths around the vector width, leading dimensions
+// past the minimum and operands holding signed zeros, subnormals and
+// infinities. A descending-k chain or an unfused multiply-add changes
+// the rounding of the unit-float terms and fails.
+TEST(ReferenceSgemm, MatchesNaiveOracleBitForBit) {
+  Rng R(28);
+  const int N = 5;
+  size_t Finite = 0, Compared = 0;
+  for (GemmVariant V : {GemmVariant::NN, GemmVariant::NT, GemmVariant::TN,
+                        GemmVariant::TT})
+    for (int M : {1, 7, 8, 9, 31, 33, 100})
+      for (int K : {1, 3, 64})
+        for (float Beta : {0.0f, 0.5f, 1.0f}) {
+          const int Lda = (transA(V) ? K : M) + 3;
+          const int Ldb = (transB(V) ? N : K) + 2;
+          const int Ldc = M + 1;
+          std::vector<float> A(size_t(Lda) * (transA(V) ? M : K));
+          std::vector<float> B(size_t(Ldb) * (transB(V) ? K : N));
+          std::vector<float> C(size_t(Ldc) * N);
+          for (std::vector<float> *X : {&A, &B, &C})
+            for (float &F : *X)
+              F = referenceOperand(R);
+          const float Alpha = 1.5f;
+          std::vector<float> Want = C;
+          naiveSgemm(V, M, N, K, Alpha, A, Lda, B, Ldb, Beta, Want, Ldc);
+          referenceSgemm(V, M, N, K, Alpha, A.data(), Lda, B.data(), Ldb,
+                         Beta, C.data(), Ldc);
+          int Mismatches = 0;
+          Compared += C.size();
+          for (size_t E = 0; E < C.size(); ++E) {
+            Finite += std::isfinite(Want[E]);
+            const bool Same = std::isnan(Want[E])
+                                  ? std::isnan(C[E])
+                                  : floatBits(C[E]) == floatBits(Want[E]);
+            if (!Same && Mismatches++ < 3)
+              ADD_FAILURE() << gemmVariantName(V) << " M=" << M
+                            << " K=" << K << " beta=" << Beta
+                            << " element " << E << ": " << C[E]
+                            << ", oracle " << Want[E];
+          }
+          ASSERT_EQ(Mismatches, 0);
+        }
+  // Most results are finite, so the rounding of the chains was compared.
+  EXPECT_GT(Finite, Compared * 3 / 4);
 }
